@@ -662,6 +662,9 @@ pub fn drive_randomized(
     resume: Option<Snapshot>,
 ) -> Result<RunOutcome<RandReport>, DeltaColoringError> {
     sup.validate()?;
+    if let Some(plan) = faults {
+        plan.check(g.n())?;
+    }
     let delta = g.max_degree();
     if delta < 4 {
         return Err(DeltaColoringError::UnsupportedStructure(format!(

@@ -20,6 +20,8 @@ use std::str::FromStr;
 use graphgen::NodeId;
 use serde::{Deserialize, Serialize};
 
+use crate::exec::SimError;
+
 /// Distinct hash streams so that drop and stall decisions for overlapping
 /// integer keys never correlate.
 const STREAM_DROP: u64 = 0xD09F_5CEE_D15A_57E5;
@@ -107,6 +109,24 @@ impl FaultPlan {
         let offset = (round - 1) % period;
         let h = mix(mix(self.seed ^ STREAM_STALL ^ u64::from(node.0)).wrapping_add(window));
         offset != h % period
+    }
+
+    /// Checks the plan against an `n`-node graph: every scheduled crash
+    /// must name a node of the graph. Every executor runs this check
+    /// before round 1.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadFaultPlan`] naming the first crash entry outside
+    /// the graph.
+    pub fn check(&self, n: usize) -> Result<(), SimError> {
+        match self.node_crash.iter().find(|(_, v)| v.index() >= n) {
+            Some(&(round, v)) => Err(SimError::BadFaultPlan(format!(
+                "crash entry `{}@{round}` names node {}, but the graph has {n} nodes",
+                v.0, v.0
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// The crash schedule grouped by round, nodes sorted and deduplicated

@@ -60,6 +60,7 @@
 mod congest;
 mod exec;
 mod faults;
+mod kernel;
 mod ledger;
 mod msg;
 mod par;

@@ -191,8 +191,9 @@ impl<'g> MessageExecutor<'g> {
     /// Rounds split into two phases: node steps run in parallel over
     /// contiguous worklist segments (reading only the previous round's
     /// inboxes), then all deliveries are applied in ascending node order
-    /// on the calling thread — so outputs and telemetry are bit-identical
-    /// to the sequential schedule regardless of `k`.
+    /// on the calling thread. The sequential path runs the same step and
+    /// apply code node by node, so outputs and telemetry are
+    /// bit-identical to it regardless of `k`.
     #[must_use]
     pub fn with_threads(mut self, k: usize) -> Self {
         self.threads = k.max(1);
@@ -210,7 +211,8 @@ impl<'g> MessageExecutor<'g> {
     ///
     /// [`SimError::RoundLimitExceeded`] past `max_rounds`;
     /// [`SimError::Crashed`] if an injected fault plan crashed nodes
-    /// before they could output.
+    /// before they could output; [`SimError::BadFaultPlan`] if the plan
+    /// does not fit the graph.
     pub fn run<P>(&self, prog: &P, max_rounds: u64) -> Result<RunResult<P::Output>, SimError>
     where
         P: MessageProgram + Sync,
@@ -219,6 +221,9 @@ impl<'g> MessageExecutor<'g> {
         P::Output: Send,
     {
         let n = self.graph.n();
+        if let Some(plan) = &self.faults {
+            plan.check(n)?;
+        }
         if n == 0 {
             return Ok(RunResult {
                 outputs: Vec::new(),
@@ -298,12 +303,12 @@ impl<'g> MessageExecutor<'g> {
         // run (first parallel round) and parked between rounds; the
         // per-slot transition buffers persist across rounds.
         let mut pool_lease: Option<pool::PoolLease> = None;
+        let par_slots = if self.threads > 1 { self.threads } else { 0 };
+        // Slot i holds segment i's transitions in node order, `None` for
+        // a stalled node.
         #[allow(clippy::type_complexity)]
-        let transition_bufs: Vec<
-            Mutex<Vec<(NodeId, Option<MsgTransition<P::Msg, P::Output>>)>>,
-        > = (0..if self.threads > 1 { self.threads } else { 0 })
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
+        let mut transition_bufs: Vec<Mutex<Vec<Option<MsgTransition<P::Msg, P::Output>>>>> =
+            (0..par_slots).map(|_| Mutex::new(Vec::new())).collect();
         while !live_list.is_empty() {
             if rounds >= max_rounds {
                 return Err(SimError::RoundLimitExceeded {
@@ -343,19 +348,22 @@ impl<'g> MessageExecutor<'g> {
                 let pending = cur.iter().filter(|m| m.is_some()).count();
                 c_inbox.set((pending * std::mem::size_of::<P::Msg>()) as i64);
             }
-            if self.threads > 1 && live_list.len() > 1 {
-                // Phase 1 (parallel): step every live node against the
-                // read-only current arena, collecting transitions. Pool
-                // slot i owns segment i; the degree-weighted split keeps
+            // Step one node against the read-only current arena: `None`
+            // for a stalled node.
+            let step = |v: NodeId, st: &mut P::State| {
+                if jitter_on && plan.stalls(v, rounds) {
+                    return None;
+                }
+                let inbox = &cur[offsets[v.index()]..offsets[v.index() + 1]];
+                Some(prog.step(&make_ctx(v, rounds), st, inbox))
+            };
+            let seg_count = if self.threads > 1 && live_list.len() > 1 {
+                // Phase 1 (parallel): pool slot i steps segment i into
+                // its transition buffer; the degree-weighted split keeps
                 // hub-heavy segments from serializing the round.
                 let segs = par::segments_weighted(&live_list, self.threads, offsets);
                 let ranges = par::segment_ranges(&segs);
                 let state_slices = par::split_ranges(&mut states, &ranges);
-                let cur_ref = &cur;
-                let plan_ref = plan;
-                // Phase 1 collects `None` for stalled nodes so phase 2 can
-                // carry their inboxes over in the same ascending order the
-                // sequential schedule uses.
                 let work: MsgWorkCells<'_, P::State> = segs
                     .iter()
                     .zip(ranges.iter())
@@ -371,119 +379,64 @@ impl<'g> MessageExecutor<'g> {
                         return;
                     };
                     let mut out = transition_bufs[slot].lock().expect("buffer poisoned");
-                    for &v in seg {
-                        if jitter_on && plan_ref.stalls(v, rounds) {
-                            out.push((v, None));
-                            continue;
-                        }
-                        let ctx = make_ctx(v, rounds);
-                        let inbox = &cur_ref[offsets[v.index()]..offsets[v.index() + 1]];
-                        let t = prog.step(&ctx, &mut st_s[v.index() - lo], inbox);
-                        out.push((v, Some(t)));
-                    }
+                    out.extend(seg.iter().map(|&v| step(v, &mut st_s[v.index() - lo])));
                 });
-                // Phase 2 (sequential, ascending node order): deliver and
-                // account, exactly as the sequential schedule would —
-                // draining the slot buffers in segment order (allocations
-                // survive for the next round).
-                let seg_count = segs.len();
-                drop(work);
-                live_list.clear();
-                for buf in transition_bufs.iter().take(seg_count) {
-                    let mut buf = buf.lock().expect("buffer poisoned");
-                    for (v, t) in buf.drain(..) {
-                        match t {
-                            None => {
-                                retain_inbox(offsets, &cur, &mut nxt, &mut dirty_nxt, v);
-                                stalled += 1;
-                                live_list.push(v);
-                            }
-                            Some(MsgTransition::Continue(outs)) => {
-                                c_msgs.add(deliver(
-                                    graph,
-                                    offsets,
-                                    rev,
-                                    &mut nxt,
-                                    &mut dirty_nxt,
-                                    v,
-                                    outs,
-                                    drop_ctx(rounds),
-                                    &mut dropped,
-                                ));
-                                live_list.push(v);
-                            }
-                            Some(MsgTransition::HaltAfter(outs, o)) => {
-                                c_msgs.add(deliver(
-                                    graph,
-                                    offsets,
-                                    rev,
-                                    &mut nxt,
-                                    &mut dirty_nxt,
-                                    v,
-                                    outs,
-                                    drop_ctx(rounds),
-                                    &mut dropped,
-                                ));
-                                outputs[v.index()] = Some(o);
-                                c_halted.inc();
-                            }
-                        }
-                    }
-                }
+                segs.len()
             } else {
-                // Manual compaction instead of `Vec::retain`: the retain
-                // closure boundary measurably taxes fine-grained steps
-                // (see docs/PERFORMANCE.md); an index loop writes the
-                // survivor list in the same single ascending pass.
-                let mut kept = 0usize;
-                for i in 0..live_list.len() {
-                    let v = live_list[i];
-                    if jitter_on && plan.stalls(v, rounds) {
-                        // Stalled: skip the step; pending messages wait on
-                        // the link for the next round.
+                0
+            };
+            // Phase 2, in ascending node order on this thread: deliver and
+            // account. A parallel round drains the slot buffers in segment
+            // order; a sequential round has none and steps each node right
+            // here, so its outgoing messages are delivered (and their
+            // buffers freed) before the next node steps.
+            let mut buffered = transition_bufs
+                .iter_mut()
+                .take(seg_count)
+                .flat_map(|m| m.get_mut().expect("buffer poisoned").drain(..));
+            let mut kept = 0usize;
+            for i in 0..live_list.len() {
+                let v = live_list[i];
+                let t = match buffered.next() {
+                    Some(t) => t,
+                    None => step(v, &mut states[v.index()]),
+                };
+                let (outs, output) = match t {
+                    None => {
+                        // Stalled: pending messages wait on the link for
+                        // the next round.
                         retain_inbox(offsets, &cur, &mut nxt, &mut dirty_nxt, v);
                         stalled += 1;
                         live_list[kept] = v;
                         kept += 1;
                         continue;
                     }
-                    let ctx = make_ctx(v, rounds);
-                    let inbox = &cur[offsets[v.index()]..offsets[v.index() + 1]];
-                    match prog.step(&ctx, &mut states[v.index()], inbox) {
-                        MsgTransition::Continue(outs) => {
-                            c_msgs.add(deliver(
-                                graph,
-                                offsets,
-                                rev,
-                                &mut nxt,
-                                &mut dirty_nxt,
-                                v,
-                                outs,
-                                drop_ctx(rounds),
-                                &mut dropped,
-                            ));
-                            live_list[kept] = v;
-                            kept += 1;
-                        }
-                        MsgTransition::HaltAfter(outs, o) => {
-                            c_msgs.add(deliver(
-                                graph,
-                                offsets,
-                                rev,
-                                &mut nxt,
-                                &mut dirty_nxt,
-                                v,
-                                outs,
-                                drop_ctx(rounds),
-                                &mut dropped,
-                            ));
-                            outputs[v.index()] = Some(o);
-                            c_halted.inc();
-                        }
+                    Some(MsgTransition::Continue(outs)) => (outs, None),
+                    Some(MsgTransition::HaltAfter(outs, o)) => (outs, Some(o)),
+                };
+                c_msgs.add(deliver(
+                    graph,
+                    offsets,
+                    rev,
+                    &mut nxt,
+                    &mut dirty_nxt,
+                    v,
+                    outs,
+                    drop_ctx(rounds),
+                    &mut dropped,
+                ));
+                match output {
+                    None => {
+                        live_list[kept] = v;
+                        kept += 1;
+                    }
+                    Some(o) => {
+                        outputs[v.index()] = Some(o);
+                        c_halted.inc();
                     }
                 }
-                live_list.truncate(kept);
             }
+            live_list.truncate(kept);
             if dropped > 0 {
                 if let Some(c) = &c_dropped {
                     c.add(dropped);

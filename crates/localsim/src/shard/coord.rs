@@ -414,11 +414,14 @@ impl<'g> ShardedExecutor<'g> {
     /// # Errors
     ///
     /// [`ShardError::Sim`] carries exactly the [`SimError`] a
-    /// single-process run would return (round budget, crashes); the
-    /// other variants report runtime failures the recovery path could
-    /// not absorb.
+    /// single-process run would return (round budget, crashes, a fault
+    /// plan that does not fit the graph); the other variants report
+    /// runtime failures the recovery path could not absorb.
     pub fn run(&self, algo: WireAlgo, max_rounds: u64) -> Result<RunResult<u64>, ShardError> {
         let n = self.graph.n();
+        if let Some(plan) = &self.faults {
+            plan.check(n)?;
+        }
         if n == 0 {
             return Ok(RunResult {
                 outputs: Vec::new(),

@@ -10,13 +10,16 @@
 //! (`Restore` carries every node's state, so no ghost delta survives a
 //! restart).
 //!
-//! The stepping loop below mirrors `exec.rs`'s sequential fault arm
-//! node-for-node (stall check, per-port drop cache, gather, step,
-//! halt-freeze), restricted to the owned range; the equivalence suite in
-//! `tests/shard.rs` pins that the two stay bit-identical. On the wire
-//! the worker is a delta endpoint: it only reports boundary states that
-//! *changed* this round (counting the rest into `suppressed`) and only
-//! receives ghost states that changed on their owning shard.
+//! A round is one call of the crate's round kernel
+//! (`kernel::step_range`, the same kernel [`crate::Executor`] steps
+//! with) over the owned live list: ghost states already sit in the
+//! full-length state vector, so the kernel's plain gather or drop-cache
+//! view reads them like any other neighbor. The equivalence suite in
+//! `tests/shard.rs` pins that sharded and single-process runs stay
+//! bit-identical. On the wire the worker is a delta endpoint: its
+//! `on_continue` hook reports only boundary states that *changed* this
+//! round (counting the rest into `suppressed`), and it only receives
+//! ghost states that changed on their owning shard.
 
 use std::io::{self, BufReader};
 use std::net::TcpStream;
@@ -28,8 +31,9 @@ use super::algo::WireAlgo;
 use super::proto::{decode_fault_plan, Frame, GhostUpdates, PROTO_VERSION};
 use super::topology::Topology;
 use super::wire::{read_frame, write_frame, write_frame_buf, FrameMeter, FrameSeq, MAX_FRAME};
-use crate::exec::{LocalAlgorithm, NodeCtx, Transition};
+use crate::exec::{LocalAlgorithm, NodeCtx};
 use crate::faults::FaultPlan;
+use crate::kernel::{step_range, DropCache, Gather, Round, Scratch, Window};
 
 /// Default worker read timeout: a coordinator that goes silent this
 /// long is presumed dead, and the worker exits instead of leaking.
@@ -215,7 +219,7 @@ fn protocol(msg: String) -> io::Error {
 /// (full graph or owned-range slice), the full-length state vector
 /// (authoritative on `start..end`, ghost copies for foreign neighbors,
 /// untouched init zeros elsewhere), and the owned slices of the live
-/// worklist and drop cache.
+/// worklist, outputs and drop cache.
 ///
 /// Crate-visible because the coordinator *adopts* a shard whose respawn
 /// budget is exhausted: it builds this same state from the cached
@@ -234,18 +238,20 @@ pub(crate) struct ShardState {
     cur: Vec<u64>,
     /// Write buffer for the owned range (`end - start` entries).
     nxt: Vec<u64>,
+    /// Outputs of the owned range; a round's halts are taken out of it
+    /// before the round's reply, so it is all `None` between rounds.
+    outputs: Vec<Option<u64>>,
     /// Owned nodes still live, ascending.
     live: Vec<NodeId>,
+    /// The kernel's scratch; its survivor list becomes `live`.
+    scratch: Scratch<u64>,
     /// Per-directed-port "last heard" drop cache covering exactly the
-    /// owned port range (local index; add `port_base` for the global
-    /// drop-stream slot).
+    /// owned port range: `seen[0]` is global port `ports[0]`.
     seen: Vec<u64>,
-    /// Global port index of `seen[0]` (`csr_offsets()[start]` of the
-    /// full graph); 0 when drops are off.
-    port_base: usize,
-    /// Local port offsets over the owned range: vertex `start + i` owns
-    /// ports `local_off[i]..local_off[i + 1]` of `seen`.
-    local_off: Vec<usize>,
+    /// Global port offsets over the owned range (local offsets when
+    /// drops are off): vertex `start + i` owns ports
+    /// `ports[i]..ports[i + 1]`.
+    ports: Vec<usize>,
     /// `boundary[v - start]` = owned `v` has a foreign neighbor.
     boundary: Vec<bool>,
     /// Sorted foreign neighbors of the owned range — the universe the
@@ -276,13 +282,13 @@ impl ShardState {
             decode_fault_plan(faults).map_err(|e| format!("shard init: bad fault plan: {e}"))?;
         let n = topo.n();
         let max_degree = topo.max_degree();
-        let mut local_off = Vec::with_capacity(end - start + 1);
-        local_off.push(0usize);
+        let mut ports = Vec::with_capacity(end - start + 1);
+        ports.push(0usize);
         let mut boundary = Vec::with_capacity(end - start);
         let mut ghost_ids: Vec<u32> = Vec::new();
         for v in start..end {
             let nbrs = topo.neighbors(NodeId(v as u32));
-            local_off.push(local_off.last().unwrap() + nbrs.len());
+            ports.push(ports.last().unwrap() + nbrs.len());
             let mut foreign = false;
             for w in nbrs {
                 if w.index() < start || w.index() >= end {
@@ -320,10 +326,9 @@ impl ShardState {
         }
         let nxt = cur[start..end].to_vec();
         let drop_on = plan.message_drop_p > 0.0;
-        let mut port_base = 0usize;
         let mut seen = Vec::new();
         if drop_on {
-            port_base = topo.global_port_base(start).ok_or_else(|| {
+            let port_base = topo.global_port_base(start).ok_or_else(|| {
                 "shard init: fault plan drops messages but the graph payload \
                  carries no port information"
                     .to_string()
@@ -331,12 +336,13 @@ impl ShardState {
             // Seed the owned port range from the init states (the setup
             // exchange is reliable), exactly like the single-process
             // seeding.
-            seen = vec![0u64; local_off[end - start]];
+            seen.reserve_exact(ports[end - start]);
             for v in start..end {
-                let base = local_off[v - start];
-                for (p, w) in topo.neighbors(NodeId(v as u32)).iter().enumerate() {
-                    seen[base + p] = cur[w.index()];
-                }
+                let nbrs = topo.neighbors(NodeId(v as u32));
+                seen.extend(nbrs.iter().map(|w| cur[w.index()]));
+            }
+            for p in &mut ports {
+                *p += port_base;
             }
         }
         let jitter_on = plan.round_jitter > 0;
@@ -348,10 +354,11 @@ impl ShardState {
             end,
             cur,
             nxt,
+            outputs: vec![None; end - start],
             live: (start..end).map(|v| NodeId(v as u32)).collect(),
+            scratch: Scratch::new(max_degree),
             seen,
-            port_base,
-            local_off,
+            ports,
             boundary,
             ghost_ids,
             boundary_ids,
@@ -380,85 +387,88 @@ impl ShardState {
                 self.nxt[v.index() - self.start] = self.cur[v.index()];
             }
         }
-        let n = self.topo.n();
-        let max_degree = self.topo.max_degree();
-        let mut msgs = 0u64;
-        let mut dropped = 0u64;
-        let mut stalled = 0u64;
+        let topo = &self.topo;
+        let (n, max_degree) = (topo.n(), topo.max_degree());
+        let node_ctx = |v: NodeId, round: u64| NodeCtx {
+            node: v,
+            uid: u64::from(v.0),
+            neighbors: topo.neighbors(v),
+            round,
+            n,
+            max_degree,
+        };
+        let rnd = Round {
+            algo: &self.algo,
+            number: round,
+            node_ctx: &node_ctx,
+            stalls: self.jitter_on.then_some(&self.plan),
+        };
+        let win = Window {
+            lo: self.start,
+            nxt: &mut self.nxt,
+            outputs: &mut self.outputs,
+        };
         let mut suppressed = 0u64;
-        let mut halts: Vec<(u32, u64)> = Vec::new();
         let mut boundary_out: Vec<(u32, u64)> = Vec::new();
-        let mut nbr_buf: Vec<u64> = Vec::with_capacity(max_degree);
-        let mut kept = 0usize;
-        for i in 0..self.live.len() {
-            let v = self.live[i];
-            let vi = v.index();
-            if self.jitter_on && self.plan.stalls(v, round) {
-                // Stalled: skip the step, keep the state, stay live.
-                self.nxt[vi - self.start] = self.cur[vi];
-                stalled += 1;
-                self.live[kept] = v;
-                kept += 1;
-                continue;
-            }
-            nbr_buf.clear();
-            let nbrs = self.topo.neighbors(v);
-            if self.drop_on {
-                let base = self.local_off[vi - self.start];
-                for (p, w) in nbrs.iter().enumerate() {
-                    // The drop stream is indexed by *global* port slot so
-                    // every shard count draws identical drop decisions.
-                    if self.plan.drops_message(round, self.port_base + base + p) {
-                        dropped += 1;
-                    } else {
-                        self.seen[base + p] = self.cur[w.index()];
-                    }
+        let (start, boundary) = (self.start, &self.boundary);
+        // Stalled nodes never reach the hook, so they are not counted
+        // as suppressed.
+        let mut on_continue = |v: NodeId, old: &u64, new: &u64| {
+            if boundary[v.index() - start] {
+                if new == old {
+                    // Neighboring shards already hold this state; the
+                    // delta exchange sends nothing.
+                    suppressed += 1;
+                } else {
+                    boundary_out.push((v.0, *new));
                 }
-                nbr_buf.extend_from_slice(&self.seen[base..base + nbrs.len()]);
-                msgs += nbrs.len() as u64;
-            } else {
-                nbr_buf.extend(nbrs.iter().map(|w| self.cur[w.index()]));
-                msgs += nbr_buf.len() as u64;
             }
-            let ctx = NodeCtx {
-                node: v,
-                uid: u64::from(v.0),
-                neighbors: nbrs,
-                round,
-                n,
-                max_degree,
+        };
+        let counts = if self.drop_on {
+            let mut view = DropCache {
+                plan: &self.plan,
+                seen: &mut self.seen,
+                seen_lo: self.ports[0],
+                ports: &self.ports,
+                node_lo: start,
             };
-            match self.algo.step(&ctx, &self.cur[vi], &nbr_buf) {
-                Transition::Continue(s) => {
-                    self.nxt[vi - self.start] = s;
-                    if self.boundary[vi - self.start] {
-                        if s == self.cur[vi] {
-                            // Neighboring shards already hold this state;
-                            // the delta exchange sends nothing.
-                            suppressed += 1;
-                        } else {
-                            boundary_out.push((v.0, s));
-                        }
-                    }
-                    self.live[kept] = v;
-                    kept += 1;
-                }
-                Transition::Halt(o) => {
-                    halts.push((v.0, o));
-                    // Freeze the pre-round state, like a halted node in
-                    // the single-process executor; neighbors already hold
-                    // this value, so no boundary update is needed.
-                    self.nxt[vi - self.start] = self.cur[vi];
-                }
-            }
-        }
-        self.live.truncate(kept);
+            let sc = &mut self.scratch;
+            step_range(
+                &rnd,
+                &self.live,
+                &self.cur,
+                &mut view,
+                win,
+                sc,
+                &mut on_continue,
+            )
+        } else {
+            let sc = &mut self.scratch;
+            step_range(
+                &rnd,
+                &self.live,
+                &self.cur,
+                &mut Gather,
+                win,
+                sc,
+                &mut on_continue,
+            )
+        };
+        // A halted node froze its pre-round state, which neighbors
+        // already hold, so it needs no boundary update.
+        let halts: Vec<(u32, u64)> = self
+            .live
+            .iter()
+            .filter_map(|v| self.outputs[v.index() - start].take().map(|o| (v.0, o)))
+            .collect();
+        std::mem::swap(&mut self.live, &mut self.scratch.survivors);
+        self.scratch.survivors.clear();
         self.cur[self.start..self.end].copy_from_slice(&self.nxt);
         Ok(Frame::RoundDone {
             round,
-            msgs,
-            dropped,
-            stalled,
+            msgs: counts.msgs as u64,
+            dropped: counts.dropped as u64,
+            stalled: counts.stalled as u64,
             suppressed,
             halts,
             boundary: GhostUpdates::pack(boundary_out, &self.boundary_ids),
@@ -502,14 +512,14 @@ impl ShardState {
             .map(|v| NodeId(v as u32))
             .collect();
         if self.drop_on {
-            let hi = self.port_base + self.local_off[self.end - self.start];
+            let (lo, hi) = (self.ports[0], self.ports[self.end - self.start]);
             if seen.len() < hi {
                 return Err(protocol(format!(
                     "restore drop cache has {} ports, owned range needs {hi}",
                     seen.len()
                 )));
             }
-            self.seen = seen[self.port_base..hi].to_vec();
+            self.seen = seen[lo..hi].to_vec();
         }
         Ok(Frame::RestoreAck { round })
     }
