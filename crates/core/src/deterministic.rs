@@ -177,20 +177,19 @@ pub fn color_deterministic_probed(
 }
 
 /// Step 0 of both pipelines: ACD computation, charged and spanned on the
-/// ledger's probe, plus the density check. The supervisor replays this
-/// silently on resume by passing a throwaway ledger with a disabled probe
-/// — the decomposition is a pure function of `(g, config.acd)`.
+/// ledger, plus the density check. The supervisor replays this silently
+/// on resume by passing a throwaway ledger with a disabled probe — the
+/// decomposition is a pure function of `(g, config.acd)`.
 pub(crate) fn det_phase_acd(
     g: &Graph,
     config: &Config,
     ledger: &mut RoundLedger,
 ) -> Result<AcdResult, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let mut span = probe.span("pipeline/acd");
-    let acd = compute_acd(g, &config.acd);
-    ledger.charge_constant("acd computation", acd.rounds);
-    span.add_rounds(acd.rounds);
-    span.finish();
+    let acd = ledger.span("pipeline/acd", |l| {
+        let acd = compute_acd(g, &config.acd);
+        l.charge_constant("acd computation", acd.rounds);
+        acd
+    });
     if !acd.is_dense() {
         return Err(DeltaColoringError::NotDense {
             sparse: acd.sparse.len(),
@@ -199,22 +198,22 @@ pub(crate) fn det_phase_acd(
     Ok(acd)
 }
 
-/// Loophole detection + hard/easy classification (shared by both
+/// Loophole detection + hard/easy classification (shared by all three
 /// pipelines; silently replayable the same way as [`det_phase_acd`]).
 pub(crate) fn det_phase_classification(
     g: &Graph,
     acd: &AcdResult,
     ledger: &mut RoundLedger,
 ) -> Result<(LoopholeReport, Classification), DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let mut span = probe.span("pipeline/classification");
-    let loopholes = detect_loopholes(g, &acd.clique_of);
-    ledger.charge_constant("loophole detection", loopholes.rounds);
-    let cls = classify_cliques(g, acd, &loopholes)?;
-    ledger.charge_constant("hard/easy classification", cls.rounds);
-    span.add_rounds(loopholes.rounds + cls.rounds);
-    span.finish();
-    Ok((loopholes, cls))
+    ledger.span("pipeline/classification", |l| {
+        let loopholes = detect_loopholes(g, &acd.clique_of);
+        l.charge_constant("loophole detection", loopholes.rounds);
+        let cls = classify_cliques(g, acd, &loopholes)?;
+        // No `/` in the name: the ledger groups phases by their first
+        // `/`-separated segment.
+        l.charge_constant("hard-easy classification", cls.rounds);
+        Ok((loopholes, cls))
+    })
 }
 
 /// Step 3 (Algorithm 3): the easy sweep, spanned and charged.
@@ -226,20 +225,17 @@ pub(crate) fn det_phase_easy(
     ledger: &mut RoundLedger,
     stats: &mut PipelineStats,
 ) -> Result<(), DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/easy sweep");
-    stats.easy = color_easy_and_loopholes(
-        g,
-        loopholes,
-        config.ruling_r,
-        RulingStyle::Deterministic,
-        config.threads,
-        coloring,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
+    stats.easy = ledger.span("pipeline/easy sweep", |l| {
+        color_easy_and_loopholes(
+            g,
+            loopholes,
+            config.ruling_r,
+            RulingStyle::Deterministic,
+            config.threads,
+            coloring,
+            l,
+        )
+    })?;
     Ok(())
 }
 
@@ -296,22 +292,18 @@ pub(crate) fn det_phase1(
     allow_useless: bool,
     ledger: &mut RoundLedger,
 ) -> Result<BalancedMatching, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/phase1 balanced matching");
-    let f2 = balanced_matching(
-        g,
-        acd,
-        cls,
-        config.subcliques,
-        config.matching,
-        config.heg,
-        allow_useless,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(f2)
+    ledger.span("pipeline/phase1 balanced matching", |l| {
+        balanced_matching(
+            g,
+            acd,
+            cls,
+            config.subcliques,
+            config.matching,
+            config.heg,
+            allow_useless,
+            l,
+        )
+    })
 }
 
 /// Phase 2: matching sparsification (spanned and charged).
@@ -323,21 +315,9 @@ pub(crate) fn det_phase2(
     config: &Config,
     ledger: &mut RoundLedger,
 ) -> Result<SparsifiedMatching, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/phase2 sparsify matching");
-    let f3 = sparsify_matching(
-        g,
-        acd,
-        cls,
-        f2,
-        config.acd.eps,
-        config.split_segment,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(f3)
+    ledger.span("pipeline/phase2 sparsify matching", |l| {
+        sparsify_matching(g, acd, cls, f2, config.acd.eps, config.split_segment, l)
+    })
 }
 
 /// Phase 3: slack-triad formation (spanned and charged).
@@ -347,13 +327,9 @@ pub(crate) fn det_phase3(
     f3: &SparsifiedMatching,
     ledger: &mut RoundLedger,
 ) -> Result<TriadSet, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/phase3 slack triads");
-    let triads = form_slack_triads(g, acd, f3, ledger)?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(triads)
+    ledger.span("pipeline/phase3 slack triads", |l| {
+        form_slack_triads(g, acd, f3, l)
+    })
 }
 
 /// Phase 4: hard-clique coloring (spanned and charged). The only hard
@@ -370,22 +346,18 @@ pub(crate) fn det_phase4(
     config: &Config,
     ledger: &mut RoundLedger,
 ) -> Result<Phase4Stats, DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/phase4 coloring");
-    let p4 = color_hard_cliques_phase4(
-        g,
-        acd,
-        cls,
-        triads,
-        pair_palette,
-        coloring,
-        config.enforce_paper_bounds,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(p4)
+    ledger.span("pipeline/phase4 coloring", |l| {
+        color_hard_cliques_phase4(
+            g,
+            acd,
+            cls,
+            triads,
+            pair_palette,
+            coloring,
+            config.enforce_paper_bounds,
+            l,
+        )
+    })
 }
 
 #[cfg(test)]

@@ -29,11 +29,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::classify::classify_cliques;
-use crate::deterministic::{run_hard_phases, PipelineStats};
+use crate::deterministic::{det_phase_classification, run_hard_phases, PipelineStats};
 use crate::easy::color_easy_and_loopholes_scoped;
 use crate::error::DeltaColoringError;
-use crate::loophole::{detect_loopholes, Loophole};
+use crate::loophole::Loophole;
 use crate::phase4::run_list_instance;
 use crate::randomized::RandConfig;
 
@@ -125,86 +124,79 @@ pub fn color_sparse_dense_probed(
     let mut coloring = Coloring::empty(g.n());
     let mut stats = SparseDenseStats::default();
 
-    let mut span = probe.span("pipeline/acd");
-    let acd = compute_acd(g, &config.base.acd);
-    ledger.charge_constant("acd computation", acd.rounds);
-    span.add_rounds(acd.rounds);
-    span.finish();
+    let acd = ledger.span("pipeline/acd", |l| {
+        let acd = compute_acd(g, &config.base.acd);
+        l.charge_constant("acd computation", acd.rounds);
+        acd
+    });
     let is_sparse: Vec<bool> = (0..g.n()).map(|v| acd.clique_of[v].is_none()).collect();
     stats.sparse = acd.sparse.len();
 
     // --- Step 1: slack generation among sparse vertices. ---
-    let mut span = probe.span("pipeline/sparse trials");
-    let budget = 6 + (usize::BITS - g.n().leading_zeros()) as u64;
-    let mut trial_rounds = 0u64;
-    loop {
-        let needy: Vec<NodeId> = g
-            .vertices()
-            .filter(|&v| {
-                is_sparse[v.index()]
-                    && !coloring.is_colored(v)
-                    && g.degree(v) == delta
-                    && !has_permanent_slack(g, &coloring, v)
-            })
-            .collect();
-        if needy.is_empty() {
-            break;
-        }
-        if trial_rounds >= budget {
-            return Err(DeltaColoringError::UnsupportedStructure(format!(
-                "{} sparse vertices failed to acquire slack within {budget} trial rounds \
-                 (Δ = {delta} may be too small for the w.h.p. regime)",
-                needy.len()
-            )));
-        }
-        trial_rounds += 1;
-        // One trial round over ALL uncolored sparse vertices (more colored
-        // neighbors = more slack opportunities for the needy ones).
-        let active: Vec<NodeId> = g
-            .vertices()
-            .filter(|&v| is_sparse[v.index()] && !coloring.is_colored(v))
-            .collect();
-        let mut draw: Vec<Option<Color>> = vec![None; g.n()];
-        for &v in &active {
-            let used: std::collections::HashSet<Color> = g
-                .neighbors(v)
-                .iter()
-                .filter_map(|&w| coloring.get(w))
+    let trial_rounds = ledger.span("pipeline/sparse trials", |l| {
+        let budget = 6 + (usize::BITS - g.n().leading_zeros()) as u64;
+        let mut trial_rounds = 0u64;
+        loop {
+            let needy: Vec<NodeId> = g
+                .vertices()
+                .filter(|&v| {
+                    is_sparse[v.index()]
+                        && !coloring.is_colored(v)
+                        && g.degree(v) == delta
+                        && !has_permanent_slack(g, &coloring, v)
+                })
                 .collect();
-            let free: Vec<Color> = (0..delta as u32)
-                .map(Color)
-                .filter(|c| !used.contains(c))
+            if needy.is_empty() {
+                break;
+            }
+            if trial_rounds >= budget {
+                return Err(DeltaColoringError::UnsupportedStructure(format!(
+                    "{} sparse vertices failed to acquire slack within {budget} trial rounds \
+                     (Δ = {delta} may be too small for the w.h.p. regime)",
+                    needy.len()
+                )));
+            }
+            trial_rounds += 1;
+            // One trial round over ALL uncolored sparse vertices (more colored
+            // neighbors = more slack opportunities for the needy ones).
+            let active: Vec<NodeId> = g
+                .vertices()
+                .filter(|&v| is_sparse[v.index()] && !coloring.is_colored(v))
                 .collect();
-            if !free.is_empty() {
-                draw[v.index()] = Some(free[rng.gen_range(0..free.len())]);
+            let mut draw: Vec<Option<Color>> = vec![None; g.n()];
+            for &v in &active {
+                let used: std::collections::HashSet<Color> = g
+                    .neighbors(v)
+                    .iter()
+                    .filter_map(|&w| coloring.get(w))
+                    .collect();
+                let free: Vec<Color> = (0..delta as u32)
+                    .map(Color)
+                    .filter(|c| !used.contains(c))
+                    .collect();
+                if !free.is_empty() {
+                    draw[v.index()] = Some(free[rng.gen_range(0..free.len())]);
+                }
+            }
+            for &v in &active {
+                let Some(c) = draw[v.index()] else { continue };
+                let clash = g.neighbors(v).iter().any(|&w| draw[w.index()] == Some(c));
+                if !clash {
+                    coloring.set(v, c);
+                }
             }
         }
-        for &v in &active {
-            let Some(c) = draw[v.index()] else { continue };
-            let clash = g.neighbors(v).iter().any(|&w| draw[w.index()] == Some(c));
-            if !clash {
-                coloring.set(v, c);
-            }
-        }
-    }
+        l.charge("sparse/slack-generation trials", trial_rounds);
+        Ok(trial_rounds)
+    })?;
     stats.trial_rounds = trial_rounds;
     stats.trial_colored = g
         .vertices()
         .filter(|&v| is_sparse[v.index()] && coloring.is_colored(v))
         .count();
-    ledger.charge("sparse/slack-generation trials", trial_rounds);
-    span.add_rounds(trial_rounds);
-    span.finish();
 
     // --- Step 2: dense machinery. ---
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/classification");
-    let loopholes = detect_loopholes(g, &acd.clique_of);
-    ledger.charge_constant("loophole detection", loopholes.rounds);
-    let cls = classify_cliques(g, &acd, &loopholes)?;
-    ledger.charge_constant("hard/easy classification", cls.rounds);
-    span.add_rounds(ledger.total() - before);
-    span.finish();
+    let (loopholes, cls) = det_phase_classification(g, &acd, &mut ledger)?;
 
     // Stall assistance: a Type-II clique stalls on an uncolored non-hard
     // neighbor; if a candidate's outside neighbors were all trial-colored,
@@ -214,40 +206,43 @@ pub fn color_sparse_dense_probed(
             cls.is_hard_vertex[w.index()] && acd.clique_of[w.index()] != acd.clique_of[v.index()]
         })
     };
-    for &cid in &cls.hard_ids {
-        if cls.heg_ids.contains(&cid) {
-            continue;
-        }
-        let members = &acd.cliques[cid as usize].vertices;
-        let has_stall = members.iter().any(|&v| {
-            !with_ext_hard(v)
-                && g.neighbors(v)
-                    .iter()
-                    .any(|&w| !cls.is_hard_vertex[w.index()] && !coloring.is_colored(w))
-        });
-        if has_stall {
-            continue;
-        }
-        // Find a member + colored sparse neighbor with its own slack.
-        let assist = members.iter().find_map(|&v| {
-            if with_ext_hard(v) {
-                return None;
+    ledger.span("pipeline/stall assistance", |l| {
+        for &cid in &cls.hard_ids {
+            if cls.heg_ids.contains(&cid) {
+                continue;
             }
-            g.neighbors(v).iter().copied().find(|&w| {
-                is_sparse[w.index()]
-                    && coloring.is_colored(w)
-                    && has_permanent_slack(g, &coloring, w)
-            })
-        });
-        let Some(w) = assist else {
-            return Err(DeltaColoringError::UnsupportedStructure(format!(
-                "Type II clique {cid} has no stall source and no assistable sparse neighbor"
-            )));
-        };
-        coloring.unset(w);
-        stats.assists += 1;
-    }
-    ledger.charge_constant("sparse/stall assistance", 2);
+            let members = &acd.cliques[cid as usize].vertices;
+            let has_stall = members.iter().any(|&v| {
+                !with_ext_hard(v)
+                    && g.neighbors(v)
+                        .iter()
+                        .any(|&w| !cls.is_hard_vertex[w.index()] && !coloring.is_colored(w))
+            });
+            if has_stall {
+                continue;
+            }
+            // Find a member + colored sparse neighbor with its own slack.
+            let assist = members.iter().find_map(|&v| {
+                if with_ext_hard(v) {
+                    return None;
+                }
+                g.neighbors(v).iter().copied().find(|&w| {
+                    is_sparse[w.index()]
+                        && coloring.is_colored(w)
+                        && has_permanent_slack(g, &coloring, w)
+                })
+            });
+            let Some(w) = assist else {
+                return Err(DeltaColoringError::UnsupportedStructure(format!(
+                    "Type II clique {cid} has no stall source and no assistable sparse neighbor"
+                )));
+            };
+            coloring.unset(w);
+            stats.assists += 1;
+        }
+        l.charge_constant("sparse/stall assistance", 2);
+        Ok(())
+    })?;
 
     if !cls.hard_ids.is_empty() {
         run_hard_phases(
@@ -326,36 +321,32 @@ pub fn color_sparse_dense_probed(
         rounds: 0,
     };
     if easy_scope.iter().any(|&b| b) {
-        let before = ledger.total();
-        let mut span = probe.span("pipeline/easy sweep");
-        stats.dense.easy = color_easy_and_loopholes_scoped(
-            g,
-            &merged,
-            config.base.ruling_r,
-            RulingStyle::Randomized(config.seed ^ 0xEA5E),
-            Some(&easy_scope),
-            config.base.threads,
-            &mut coloring,
-            &mut ledger,
-        )?;
-        span.add_rounds(ledger.total() - before);
-        span.finish();
+        stats.dense.easy = ledger.span("pipeline/easy sweep", |l| {
+            color_easy_and_loopholes_scoped(
+                g,
+                &merged,
+                config.base.ruling_r,
+                RulingStyle::Randomized(config.seed ^ 0xEA5E),
+                Some(&easy_scope),
+                config.base.threads,
+                &mut coloring,
+                l,
+            )
+        })?;
     }
 
     // --- Step 4: the sparse finish (anything the sweep did not touch). ---
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/sparse finish");
     let remaining: Vec<NodeId> = g.vertices().filter(|&v| !coloring.is_colored(v)).collect();
-    run_list_instance(
-        g,
-        &remaining,
-        delta as u32,
-        &mut coloring,
-        "sparse/finish",
-        &mut ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
+    ledger.span("pipeline/sparse finish", |l| {
+        run_list_instance(
+            g,
+            &remaining,
+            delta as u32,
+            &mut coloring,
+            "sparse/finish",
+            l,
+        )
+    })?;
 
     coloring
         .check_complete(g, delta as u32)

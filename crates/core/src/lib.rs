@@ -20,9 +20,11 @@
 //!   deterministic pipeline with pair palette `{2..Δ}`.
 //!
 //! Every phase charges its measured LOCAL rounds to a
-//! [`localsim::RoundLedger`] returned in the [`Report`], and (with
-//! [`Config::check_invariants`]) asserts the paper's structural lemmas
-//! (9–17) at runtime.
+//! [`localsim::RoundLedger`] returned in the [`Report`]. The phases check
+//! the paper's structural lemmas (7, 10, 12, 13, 15, 16) on every run and return
+//! [`DeltaColoringError::InvariantViolated`] when one fails; Lemma 16's
+//! `Δ − 2` degree bound is enforced only with
+//! [`Config::enforce_paper_bounds`], which the paper's configuration sets.
 //!
 //! # Example
 //!

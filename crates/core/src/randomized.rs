@@ -238,9 +238,6 @@ pub(crate) fn rand_phase_preshatter(
     shatter: &mut ShatterStats,
 ) -> (Vec<NodeId>, Vec<Option<usize>>) {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/pre-shattering");
     let clique_graph = build_clique_graph(g, acd, cls);
     let proposers: Vec<u32> = cls
         .hard_ids
@@ -315,8 +312,6 @@ pub(crate) fn rand_phase_preshatter(
         }
     }
     shatter.deferred = ring.iter().flatten().count();
-    span.add_rounds(ledger.total() - before);
-    span.finish();
     (slack_vertices, ring)
 }
 
@@ -364,8 +359,6 @@ pub(crate) fn rand_phase_postshatter(
 ) -> Result<(), DeltaColoringError> {
     let delta = g.max_degree();
     let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/post-shattering");
     let leftover = |v: NodeId| {
         cls.is_hard_vertex[v.index()] && !coloring.is_colored(v) && ring[v.index()].is_none()
     };
@@ -593,8 +586,6 @@ pub(crate) fn rand_phase_postshatter(
         component_ledgers.push(outcome.ledger);
     }
     ledger.absorb_parallel_max("post-shattering", component_ledgers);
-    span.add_rounds(ledger.total() - before);
-    span.finish();
     Ok(())
 }
 
@@ -608,9 +599,6 @@ pub(crate) fn rand_phase_postprocess(
     ledger: &mut RoundLedger,
 ) -> Result<(), DeltaColoringError> {
     let delta = g.max_degree();
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/post-processing");
     for l in (1..=config.defer_radius).rev() {
         let active: Vec<NodeId> = g
             .vertices()
@@ -637,10 +625,7 @@ pub(crate) fn rand_phase_postprocess(
         coloring,
         "post-processing/slack vertices",
         ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
-    Ok(())
+    )
 }
 
 /// Post-processing II: easy cliques and loopholes (Algorithm 3), with the
@@ -652,21 +637,18 @@ pub(crate) fn rand_phase_easy(
     coloring: &mut Coloring,
     ledger: &mut RoundLedger,
 ) -> Result<(), DeltaColoringError> {
-    let probe = ledger.probe().clone();
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/easy sweep");
-    color_easy_and_loopholes_scoped(
-        g,
-        loopholes,
-        config.base.ruling_r,
-        RulingStyle::Randomized(config.seed ^ 0xE457_0000),
-        None,
-        config.base.threads,
-        coloring,
-        ledger,
-    )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
+    ledger.span("pipeline/easy sweep", |l| {
+        color_easy_and_loopholes_scoped(
+            g,
+            loopholes,
+            config.base.ruling_r,
+            RulingStyle::Randomized(config.seed ^ 0xE457_0000),
+            None,
+            config.base.threads,
+            coloring,
+            l,
+        )
+    })?;
     Ok(())
 }
 
@@ -998,22 +980,19 @@ fn solve_component_faulted(
 /// [FHM23]'s `O(log* n)` algorithm (see DESIGN.md). Every hard clique
 /// samples a slack triad; pairs are colored by parallel random trials on
 /// the conflict graph; the remainder follows by stalled trials and the
-/// easy sweep.
+/// easy sweep. Returns the complete coloring and the branch's stats.
 pub(crate) fn color_large_delta(
     g: &Graph,
     config: &RandConfig,
-    probe: &Probe,
-) -> Result<RandReport, DeltaColoringError> {
+    ledger: &mut RoundLedger,
+) -> Result<(Coloring, ShatterStats), DeltaColoringError> {
     let delta = g.max_degree();
     let mut rng = StdRng::seed_from_u64(config.seed ^ 0x1A26_00E0);
-    let mut ledger = RoundLedger::with_probe(probe.clone());
     let mut coloring = Coloring::empty(g.n());
     let mut shatter = ShatterStats {
         large_delta_branch: true,
         ..ShatterStats::default()
     };
-    let before = ledger.total();
-    let mut span = probe.span("pipeline/large-delta branch");
 
     let acd = compute_acd(g, &config.base.acd);
     ledger.charge_constant("acd computation", acd.rounds);
@@ -1025,7 +1004,7 @@ pub(crate) fn color_large_delta(
     let loopholes = detect_loopholes(g, &acd.clique_of);
     ledger.charge_constant("loophole detection", loopholes.rounds);
     let cls = classify_cliques(g, &acd, &loopholes)?;
-    ledger.charge_constant("hard/easy classification", cls.rounds);
+    ledger.charge_constant("hard-easy classification", cls.rounds);
 
     // Sample one triad per hard clique; pairs must be mutually non-adjacent
     // across cliques only in the conflict-graph sense (handled by trials).
@@ -1099,7 +1078,7 @@ pub(crate) fn color_large_delta(
         delta as u32,
         &mut coloring,
         "large-delta/hard body",
-        &mut ledger,
+        ledger,
     )?;
     let stage2: Vec<NodeId> = g
         .vertices()
@@ -1111,7 +1090,7 @@ pub(crate) fn color_large_delta(
         delta as u32,
         &mut coloring,
         "large-delta/slack",
-        &mut ledger,
+        ledger,
     )?;
     color_easy_and_loopholes_scoped(
         g,
@@ -1121,19 +1100,12 @@ pub(crate) fn color_large_delta(
         None,
         config.base.threads,
         &mut coloring,
-        &mut ledger,
+        ledger,
     )?;
-    span.add_rounds(ledger.total() - before);
-    span.finish();
     coloring
         .check_complete(g, delta as u32)
         .map_err(|e| DeltaColoringError::InvariantViolated(format!("final coloring: {e}")))?;
-    Ok(RandReport {
-        coloring,
-        ledger,
-        shatter,
-        recovery: RecoveryStats::default(),
-    })
+    Ok((coloring, shatter))
 }
 
 /// Parallel random color trials for slack pairs: each round every

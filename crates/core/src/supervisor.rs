@@ -1,10 +1,11 @@
 //! The run supervisor: phase checkpointing, crash-resumable pipelines,
 //! panic containment with baseline degradation, and failure repro bundles.
 //!
-//! Both pipelines decompose into phase functions
-//! ([`crate::deterministic`], [`crate::randomized`]); this module owns the
-//! *composition*. A [`Supervisor`] configures what happens at each phase
-//! boundary and around each pooled component solve:
+//! Both pipelines ([`crate::color_deterministic`],
+//! [`crate::color_randomized`]) decompose into phase functions; this
+//! module owns the *composition*. A [`Supervisor`] configures what
+//! happens at each phase boundary and around each pooled component
+//! solve:
 //!
 //! * **Checkpointing** — with a `checkpoint_dir`, every completed phase
 //!   serializes a versioned [`Snapshot`] (graph digest, coloring, ledger,
@@ -44,7 +45,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use graphgen::{Coloring, Graph, NodeId};
-use localsim::{Event, FaultPlan, FlightRecorder, Probe, RoundLedger};
+use localsim::{write_atomic, Event, FaultPlan, FlightRecorder, Probe, RoundLedger};
 use serde::{json, Deserialize, Serialize};
 
 use crate::deterministic::{
@@ -184,7 +185,7 @@ impl<'de> Deserialize<'de> for PhaseCursor {
 /// specific leftover components to panic (exercising containment) or to
 /// silently skip their solve (producing a final validation failure and
 /// hence a repro bundle). Component indices refer to the merge order of
-/// [`crate::randomized`]'s leftover components.
+/// the randomized pipeline's leftover components.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChaosPlan {
     /// Components that panic at the start of their solve.
@@ -531,17 +532,14 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> DeltaColoringError {
 ///
 /// [`DeltaColoringError::Supervisor`] on I/O failure.
 pub fn save_snapshot(dir: &Path, snap: &Snapshot) -> Result<PathBuf, DeltaColoringError> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err("creating checkpoint dir", dir, &e))?;
     let name = format!(
         "checkpoint-{:02}-{}.json",
         snap.cursor.ordinal(),
         snap.cursor.slug()
     );
     let path = dir.join(name);
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, json::to_string(snap))
-        .map_err(|e| io_err("writing snapshot", &tmp, &e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| io_err("publishing snapshot", &path, &e))?;
+    write_atomic(&path, json::to_string(snap).as_bytes())
+        .map_err(|e| io_err("writing snapshot", &path, &e))?;
     Ok(path)
 }
 
@@ -572,13 +570,10 @@ pub fn load_snapshot(path: &Path) -> Result<Snapshot, DeltaColoringError> {
 ///
 /// [`DeltaColoringError::Supervisor`] on I/O failure.
 pub fn save_bundle(dir: &Path, bundle: &ReproBundle) -> Result<PathBuf, DeltaColoringError> {
-    std::fs::create_dir_all(dir).map_err(|e| io_err("creating bundle dir", dir, &e))?;
     let stage = bundle.cursor.as_deref().unwrap_or("start");
     let path = dir.join(format!("bundle-after-{stage}.json"));
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, json::to_string(bundle))
-        .map_err(|e| io_err("writing bundle", &tmp, &e))?;
-    std::fs::rename(&tmp, &path).map_err(|e| io_err("publishing bundle", &path, &e))?;
+    write_atomic(&path, json::to_string(bundle).as_bytes())
+        .map_err(|e| io_err("writing bundle", &path, &e))?;
     Ok(path)
 }
 
@@ -678,9 +673,17 @@ pub fn drive_randomized(
                     "the large-Δ branch has no phase boundaries and cannot resume".to_string(),
                 ));
             }
-            let report = color_large_delta(g, config, probe)?;
+            let mut ledger = RoundLedger::with_probe(probe.clone());
+            let (coloring, shatter) = ledger.span("pipeline/large-delta branch", |l| {
+                color_large_delta(g, config, l)
+            })?;
             return Ok(RunOutcome::Complete {
-                report,
+                report: RandReport {
+                    coloring,
+                    ledger,
+                    shatter,
+                    recovery: RecoveryStats::default(),
+                },
                 degraded: Vec::new(),
             });
         }
@@ -841,47 +844,38 @@ fn run_randomized_phases(
     // its outputs (pair colors, slack vertices, rings) live in the
     // snapshot.
     if !replay(Pc::PreShattering) {
-        let (slack, ring) = rand_phase_preshatter(
-            g,
-            config,
-            &acd,
-            &cls,
-            &mut st.coloring,
-            &mut st.ledger,
-            &mut st.shatter,
-        );
+        let (slack, ring) = st.ledger.span("pipeline/pre-shattering", |l| {
+            rand_phase_preshatter(g, config, &acd, &cls, &mut st.coloring, l, &mut st.shatter)
+        });
         st.slack_vertices = slack;
         st.ring = ring;
         boundary!(Pc::PreShattering);
     }
 
     if !replay(Pc::PostShattering) {
-        rand_phase_postshatter(
-            g,
-            config,
-            &acd,
-            &cls,
-            faults,
-            sup,
-            &st.ring,
-            &mut st.coloring,
-            &mut st.ledger,
-            &mut st.shatter,
-            &mut st.recovery,
-            &mut st.degraded,
-        )?;
+        st.ledger.span("pipeline/post-shattering", |l| {
+            rand_phase_postshatter(
+                g,
+                config,
+                &acd,
+                &cls,
+                faults,
+                sup,
+                &st.ring,
+                &mut st.coloring,
+                l,
+                &mut st.shatter,
+                &mut st.recovery,
+                &mut st.degraded,
+            )
+        })?;
         boundary!(Pc::PostShattering);
     }
 
     if !replay(Pc::PostProcessing) {
-        rand_phase_postprocess(
-            g,
-            config,
-            &st.slack_vertices,
-            &st.ring,
-            &mut st.coloring,
-            &mut st.ledger,
-        )?;
+        st.ledger.span("pipeline/post-processing", |l| {
+            rand_phase_postprocess(g, config, &st.slack_vertices, &st.ring, &mut st.coloring, l)
+        })?;
         boundary!(Pc::PostProcessing);
     }
 

@@ -4,12 +4,13 @@ use std::fmt;
 use std::sync::Mutex;
 
 use graphgen::{Graph, NodeId};
-use telemetry::{Event, FaultKind, Probe, Registry};
+use telemetry::Probe;
 
 use crate::faults::FaultPlan;
 use crate::kernel::{step_range, DropCache, Gather, Round, Scratch, StepCounts, Window};
 use crate::par;
 use crate::pool;
+use crate::tally::RoundTally;
 
 /// Per-worker scratch for the parallel stepping path, allocated once
 /// per run and reused across every round (epoch) — workers lock only
@@ -288,11 +289,6 @@ impl<'g> Executor<'g> {
         let mut outputs: Vec<Option<A::Output>> = (0..n).map(|_| None).collect();
         let mut live_list: Vec<NodeId> = graph.vertices().collect();
         let mut rounds = 0;
-        let mut registry = Registry::new();
-        let c_live = registry.counter("live_nodes");
-        let c_halted = registry.counter("halted");
-        let c_msgs = registry.counter("messages_sent");
-        let g_halted_frac = registry.gauge("halted_fraction");
         // Whole-run metrics, recorded only with a hub on the probe. The
         // `_ns` timings are nondeterministic by convention; the round and
         // worklist accounting is bit-identical at every thread count.
@@ -307,11 +303,10 @@ impl<'g> Executor<'g> {
         // fault-free runs keep byte-identical telemetry.
         let inert = FaultPlan::default();
         let plan = self.faults.as_ref().unwrap_or(&inert);
-        let drop_on = plan.message_drop_p > 0.0;
-        let jitter_on = plan.round_jitter > 0;
+        let drop_on = plan.drops();
+        let jitter_on = plan.jitters();
         let crash_sched = plan.crash_schedule();
-        let c_dropped = drop_on.then(|| registry.counter("messages_dropped"));
-        let c_stalled = jitter_on.then(|| registry.counter("stalled_nodes"));
+        let mut tally = RoundTally::new(&self.probe, EXEC_SCOPE, n, plan, false);
         let mut crashed = 0usize;
         let offsets = graph.csr_offsets();
         // Per-directed-port "last heard" cache for message drops: slot
@@ -348,6 +343,7 @@ impl<'g> Executor<'g> {
                 });
             }
             rounds += 1;
+            tally.round_start(rounds, live_list.len(), 0);
             // Crashes fire at the start of their round, before any node
             // steps: the node freezes its last state (visible to neighbors
             // forever, like a halted node) but will never output.
@@ -357,17 +353,10 @@ impl<'g> Executor<'g> {
                         live_list.remove(pos);
                         nxt[v.index()] = cur[v.index()].clone();
                         crashed += 1;
-                        self.probe.emit_with(|| Event::Fault {
-                            scope: EXEC_SCOPE.to_string(),
-                            round: rounds - 1,
-                            kind: FaultKind::Crash,
-                            node: Some(u64::from(v.0)),
-                            count: 1,
-                        });
+                        tally.crash(v);
                     }
                 }
             }
-            c_live.set(live_list.len() as i64);
             if let Some(m) = &m_rounds {
                 m.incr();
             }
@@ -493,38 +482,13 @@ impl<'g> Executor<'g> {
             // A live node observes one state per incident edge this
             // round: one message per edge endpoint (frozen states of
             // halted neighbors included — see the Event::Round docs).
-            c_msgs.add(counts.msgs);
-            c_halted.add((before - live_list.len()) as i64);
-            let StepCounts {
-                dropped, stalled, ..
-            } = counts;
-            if dropped > 0 {
-                if let Some(c) = &c_dropped {
-                    c.add(dropped);
-                }
-                self.probe.emit_with(|| Event::Fault {
-                    scope: EXEC_SCOPE.to_string(),
-                    round: rounds - 1,
-                    kind: FaultKind::Drop,
-                    node: None,
-                    count: dropped as u64,
-                });
-            }
-            if stalled > 0 {
-                if let Some(c) = &c_stalled {
-                    c.add(stalled);
-                }
-                self.probe.emit_with(|| Event::Fault {
-                    scope: EXEC_SCOPE.to_string(),
-                    round: rounds - 1,
-                    kind: FaultKind::Stall,
-                    node: None,
-                    count: stalled as u64,
-                });
-            }
+            tally.round_end(
+                counts.msgs,
+                before - live_list.len(),
+                counts.dropped,
+                counts.stalled,
+            );
             std::mem::swap(&mut cur, &mut nxt);
-            g_halted_frac.set((n - live_list.len()) as f64 / n as f64);
-            registry.emit_round(&self.probe, EXEC_SCOPE, rounds - 1);
             if let (Some(h), Some(start)) = (&m_round_ns, round_start) {
                 h.observe(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
             }

@@ -70,7 +70,21 @@ impl FaultPlan {
     /// Whether this plan injects anything at all.
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.message_drop_p > 0.0 || self.round_jitter > 0 || !self.node_crash.is_empty()
+        self.drops() || self.jitters() || !self.node_crash.is_empty()
+    }
+
+    /// Whether this plan drops messages at all.
+    #[inline]
+    #[must_use]
+    pub fn drops(&self) -> bool {
+        self.message_drop_p > 0.0
+    }
+
+    /// Whether this plan stalls nodes at all.
+    #[inline]
+    #[must_use]
+    pub fn jitters(&self) -> bool {
+        self.round_jitter > 0
     }
 
     /// A uniform value in `[0, 1)`, keyed by `(seed, stream, a, b)`.
@@ -90,8 +104,7 @@ impl FaultPlan {
     #[inline]
     #[must_use]
     pub fn drops_message(&self, round: u64, slot: usize) -> bool {
-        self.message_drop_p > 0.0
-            && self.unit(STREAM_DROP, round, slot as u64) < self.message_drop_p
+        self.drops() && self.unit(STREAM_DROP, round, slot as u64) < self.message_drop_p
     }
 
     /// Whether `node` stalls (skips its step) in (1-based) `round`.
@@ -101,7 +114,7 @@ impl FaultPlan {
     #[inline]
     #[must_use]
     pub fn stalls(&self, node: NodeId, round: u64) -> bool {
-        if self.round_jitter == 0 {
+        if !self.jitters() {
             return false;
         }
         let period = self.round_jitter + 1;

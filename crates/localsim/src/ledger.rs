@@ -117,6 +117,31 @@ impl RoundLedger {
         self.record(phase.into(), rounds * dilation, ChargeKind::Virtual);
     }
 
+    /// Runs `f` inside a telemetry span `path` on this ledger's probe and
+    /// closes the span with the rounds `f` charged here, so span rounds
+    /// sum to the ledger total by construction. A span left through an
+    /// `Err` still reports the rounds charged before the error.
+    ///
+    /// ```
+    /// use localsim::{RecordingSink, Probe, RoundLedger};
+    ///
+    /// let sink = std::sync::Arc::new(RecordingSink::new());
+    /// let mut ledger = RoundLedger::with_probe(Probe::new(sink.clone()));
+    /// let x = ledger.span("pipeline/phase", |l| {
+    ///     l.charge("matching", 4);
+    ///     7
+    /// });
+    /// assert_eq!(x, 7);
+    /// assert_eq!(sink.span_exits()[0].1, 4);
+    /// ```
+    pub fn span<T>(&mut self, path: &str, f: impl FnOnce(&mut RoundLedger) -> T) -> T {
+        let before = self.total();
+        let span = self.probe.span(path);
+        let out = f(self);
+        span.finish(self.total() - before);
+        out
+    }
+
     /// Appends every entry of `other`, prefixing phases with `prefix/`.
     /// Each absorbed entry surfaces on the probe with its full phase path.
     pub fn absorb(&mut self, prefix: &str, other: RoundLedger) {
@@ -306,6 +331,33 @@ mod tests {
         assert_eq!(back, l);
         assert_eq!(back.total(), l.total());
         assert_eq!(back.entries(), l.entries());
+    }
+
+    #[test]
+    fn span_closes_with_the_rounds_charged_inside_even_on_err() {
+        use telemetry::RecordingSink;
+
+        let sink = std::sync::Arc::new(RecordingSink::new());
+        let mut l = RoundLedger::with_probe(Probe::new(sink.clone()));
+        l.charge("before", 100);
+        let ok: Result<(), ()> = l.span("ok", |l| {
+            l.charge("a", 3);
+            l.charge_virtual("b", 2, 3);
+            Ok(())
+        });
+        assert!(ok.is_ok());
+        let err: Result<(), ()> = l.span("err", |l| {
+            l.charge("c", 4);
+            Err(())
+        });
+        assert!(err.is_err());
+        let exits: Vec<(String, u64)> = sink
+            .span_exits()
+            .into_iter()
+            .map(|(p, r, _)| (p, r))
+            .collect();
+        assert_eq!(exits, vec![("ok".to_string(), 9), ("err".to_string(), 4)]);
+        assert_eq!(l.total(), 113);
     }
 
     #[test]

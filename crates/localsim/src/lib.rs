@@ -1,6 +1,6 @@
 //! A synchronous simulator for the LOCAL model of distributed computing.
 //!
-//! In the LOCAL model ([Lin92]) a communication network is an `n`-node
+//! In the LOCAL model (\[Lin92\]) a communication network is an `n`-node
 //! graph; computation proceeds in synchronous rounds in which every node
 //! exchanges *unbounded* messages with its neighbors and performs unbounded
 //! local computation. The complexity measure is the number of rounds until
@@ -66,6 +66,7 @@ mod msg;
 mod par;
 pub mod pool;
 pub mod shard;
+mod tally;
 
 pub use congest::{CongestError, CongestExecutor, CongestResult, RoundBits, CONGEST_SCOPE};
 pub use exec::{Executor, LocalAlgorithm, NodeCtx, RunResult, SimError, Transition, EXEC_SCOPE};
@@ -83,10 +84,39 @@ pub use shard::{
     WireAlgo, WorkerBackend,
 };
 
+/// Writes `bytes` to `path` atomically: into `<path>.tmp` first, then
+/// renamed over `path`, so a kill mid-write never leaves a torn file
+/// under the final name. Creates missing parent directories. Every
+/// checkpoint, snapshot and repro bundle in the workspace is written
+/// through here.
+///
+/// ```
+/// let dir = std::env::temp_dir().join(format!("write-atomic-{}", std::process::id()));
+/// let path = dir.join("sub/out.json");
+/// localsim::write_atomic(&path, b"{}\n")?;
+/// assert_eq!(std::fs::read(&path)?, b"{}\n");
+/// assert!(!dir.join("sub/out.json.tmp").exists());
+/// std::fs::remove_dir_all(&dir)?;
+/// # Ok::<(), std::io::Error>(())
+/// ```
+///
+/// # Errors
+///
+/// Any I/O error from creating the directory, writing, or renaming.
+pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
+}
+
 // Re-exported so simulator users can attach probes without naming the
 // telemetry crate explicitly.
 pub use telemetry::{
     ChargeKind, Event, FanoutSink, FaultKind, FlightRecorder, Histogram, JsonlSink, LocalHistogram,
-    MetricCounter, MetricsHub, NullSink, Probe, RecordingSink, Registry, Sink, Watermark,
-    WorkerLaneSnapshot, METRICS_SCHEMA_VERSION,
+    MetricCounter, MetricsHub, NullSink, Probe, RecordingSink, Sink, Watermark, WorkerLaneSnapshot,
+    METRICS_SCHEMA_VERSION,
 };

@@ -12,12 +12,13 @@
 use std::sync::Mutex;
 
 use graphgen::{Graph, NodeId};
-use telemetry::{Event, FaultKind, Probe, Registry};
+use telemetry::Probe;
 
 use crate::exec::{NodeCtx, RunResult, SimError};
 use crate::faults::FaultPlan;
 use crate::par;
 use crate::pool;
+use crate::tally::RoundTally;
 
 /// Scope string under which [`MessageExecutor`] emits per-round events.
 pub const MSG_SCOPE: &str = "localsim/msg";
@@ -249,12 +250,6 @@ impl<'g> MessageExecutor<'g> {
         let mut nxt: Vec<Option<P::Msg>> = (0..total_ports).map(|_| None).collect();
         let mut dirty_cur: Vec<usize> = Vec::new();
         let mut dirty_nxt: Vec<usize> = Vec::new();
-        let mut registry = Registry::new();
-        let c_live = registry.counter("live_nodes");
-        let c_halted = registry.counter("halted");
-        let c_msgs = registry.counter("messages_sent");
-        let c_inbox = registry.counter("inbox_bytes");
-        let g_halted_frac = registry.gauge("halted_fraction");
         // Metric handles (None when no hub is attached — the hot loop then
         // takes no timestamps). `msg.arena_peak` / `msg.dirty_slots` track
         // inbox-arena occupancy and compaction work via the dirty list.
@@ -267,13 +262,14 @@ impl<'g> MessageExecutor<'g> {
         // runs keep byte-identical telemetry.
         let inert = FaultPlan::default();
         let plan = self.faults.as_ref().unwrap_or(&inert);
-        let drop_on = plan.message_drop_p > 0.0;
-        let jitter_on = plan.round_jitter > 0;
+        let drop_on = plan.drops();
+        let jitter_on = plan.jitters();
         let crash_sched = plan.crash_schedule();
-        let c_dropped = drop_on.then(|| registry.counter("messages_dropped"));
-        let c_stalled = jitter_on.then(|| registry.counter("stalled_nodes"));
+        let mut tally = RoundTally::new(&self.probe, MSG_SCOPE, n, plan, true);
         let drop_ctx = |round: u64| drop_on.then_some((plan, round));
         let mut crashed = 0usize;
+        // Init-time sends and drops fold into the first round's event.
+        let mut init_msgs = 0i64;
         let mut init_dropped = 0i64;
         let mut states: Vec<P::State> = Vec::with_capacity(n);
         {
@@ -284,7 +280,7 @@ impl<'g> MessageExecutor<'g> {
                 first_outs.push(outs);
             }
             for (v, outs) in graph.vertices().zip(first_outs) {
-                c_msgs.add(deliver(
+                init_msgs += deliver(
                     graph,
                     offsets,
                     rev,
@@ -294,7 +290,7 @@ impl<'g> MessageExecutor<'g> {
                     outs,
                     drop_ctx(0),
                     &mut init_dropped,
-                ));
+                );
             }
         }
         let mut live_list: Vec<NodeId> = graph.vertices().collect();
@@ -317,6 +313,16 @@ impl<'g> MessageExecutor<'g> {
                 });
             }
             rounds += 1;
+            let pending = if self.probe.enabled() {
+                cur.iter().filter(|m| m.is_some()).count()
+            } else {
+                0
+            };
+            tally.round_start(
+                rounds,
+                live_list.len(),
+                pending * std::mem::size_of::<P::Msg>(),
+            );
             // Crashes fire at the start of their round, before any node
             // steps; the node's pending inbox dies with it.
             if let Some(nodes) = crash_sched.get(&rounds) {
@@ -324,30 +330,19 @@ impl<'g> MessageExecutor<'g> {
                     if let Ok(pos) = live_list.binary_search(&v) {
                         live_list.remove(pos);
                         crashed += 1;
-                        self.probe.emit_with(|| Event::Fault {
-                            scope: MSG_SCOPE.to_string(),
-                            round: rounds - 1,
-                            kind: FaultKind::Crash,
-                            node: Some(u64::from(v.0)),
-                            count: 1,
-                        });
+                        tally.crash(v);
                     }
                 }
             }
-            c_live.set(live_list.len() as i64);
             if let Some(c) = &m_rounds {
                 c.incr();
             }
             let round_start = m_round_ns.as_ref().map(|_| std::time::Instant::now());
-            // Drops are accounted to the round event of the round in which
-            // the executor processed the send; init-time sends fold into
-            // the first round's event.
+            // Sends and drops are accounted to the round event of the
+            // round in which the executor processed the send.
+            let mut msgs = std::mem::take(&mut init_msgs);
             let mut dropped = std::mem::take(&mut init_dropped);
             let mut stalled = 0i64;
-            if self.probe.enabled() {
-                let pending = cur.iter().filter(|m| m.is_some()).count();
-                c_inbox.set((pending * std::mem::size_of::<P::Msg>()) as i64);
-            }
             // Step one node against the read-only current arena: `None`
             // for a stalled node.
             let step = |v: NodeId, st: &mut P::State| {
@@ -414,7 +409,7 @@ impl<'g> MessageExecutor<'g> {
                     Some(MsgTransition::Continue(outs)) => (outs, None),
                     Some(MsgTransition::HaltAfter(outs, o)) => (outs, Some(o)),
                 };
-                c_msgs.add(deliver(
+                msgs += deliver(
                     graph,
                     offsets,
                     rev,
@@ -424,43 +419,18 @@ impl<'g> MessageExecutor<'g> {
                     outs,
                     drop_ctx(rounds),
                     &mut dropped,
-                ));
+                );
                 match output {
                     None => {
                         live_list[kept] = v;
                         kept += 1;
                     }
-                    Some(o) => {
-                        outputs[v.index()] = Some(o);
-                        c_halted.inc();
-                    }
+                    Some(o) => outputs[v.index()] = Some(o),
                 }
             }
+            let halted = live_list.len() - kept;
             live_list.truncate(kept);
-            if dropped > 0 {
-                if let Some(c) = &c_dropped {
-                    c.add(dropped);
-                }
-                self.probe.emit_with(|| Event::Fault {
-                    scope: MSG_SCOPE.to_string(),
-                    round: rounds - 1,
-                    kind: FaultKind::Drop,
-                    node: None,
-                    count: dropped as u64,
-                });
-            }
-            if stalled > 0 {
-                if let Some(c) = &c_stalled {
-                    c.add(stalled);
-                }
-                self.probe.emit_with(|| Event::Fault {
-                    scope: MSG_SCOPE.to_string(),
-                    round: rounds - 1,
-                    kind: FaultKind::Stall,
-                    node: None,
-                    count: stalled as u64,
-                });
-            }
+            tally.round_end(msgs, halted, dropped, stalled);
             // Recycle the consumed arena: clear only the touched slots,
             // then swap it in as next round's write buffer.
             if let Some(w) = &m_arena_peak {
@@ -474,8 +444,6 @@ impl<'g> MessageExecutor<'g> {
             }
             std::mem::swap(&mut cur, &mut nxt);
             std::mem::swap(&mut dirty_cur, &mut dirty_nxt);
-            g_halted_frac.set((n - live_list.len()) as f64 / n as f64);
-            registry.emit_round(&self.probe, MSG_SCOPE, rounds - 1);
             if let (Some(h), Some(start)) = (&m_round_ns, round_start) {
                 h.observe(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
             }

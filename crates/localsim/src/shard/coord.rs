@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 use graphgen::{Graph, NodeId};
 use serde::Value;
-use telemetry::{Event, FaultKind, MetricCounter, Probe, Registry};
+use telemetry::{Event, MetricCounter, Probe};
 
 use super::algo::WireAlgo;
 use super::netfault::{Liveness, NetDir, NetFaultPlan, NET_DELAY};
@@ -41,6 +41,7 @@ use super::worker::ShardState;
 use crate::exec::{LocalAlgorithm, NodeCtx, RunResult, SimError, EXEC_SCOPE};
 use crate::faults::FaultPlan;
 use crate::par::segments_weighted;
+use crate::tally::RoundTally;
 
 /// How a worker shard is hosted.
 #[derive(Clone)]
@@ -451,20 +452,13 @@ impl<'g> ShardedExecutor<'g> {
         // routing is then pure index arithmetic.
         let gplan = GhostPlan::build(graph, &cluster.ranges);
 
-        // Registry mirroring exec.rs registration order exactly — the
-        // emitted Round events must be indistinguishable.
-        let mut registry = Registry::new();
-        let c_live = registry.counter("live_nodes");
-        let c_halted = registry.counter("halted");
-        let c_msgs = registry.counter("messages_sent");
-        let g_halted_frac = registry.gauge("halted_fraction");
         let inert = FaultPlan::default();
         let plan = self.faults.as_ref().unwrap_or(&inert);
-        let drop_on = plan.message_drop_p > 0.0;
-        let jitter_on = plan.round_jitter > 0;
+        let drop_on = plan.drops();
         let crash_sched = plan.crash_schedule();
-        let c_dropped = drop_on.then(|| registry.counter("messages_dropped"));
-        let c_stalled = jitter_on.then(|| registry.counter("stalled_nodes"));
+        // The same tally as exec.rs: the emitted events must be
+        // indistinguishable from an in-process run.
+        let mut tally = RoundTally::new(&self.probe, EXEC_SCOPE, n, plan, false);
         let hub = self.probe.metrics();
         let h_round = hub.map(|h| h.histogram("shard.round_ns"));
         let h_barrier = hub.map(|h| h.histogram("shard.barrier_wait_ns"));
@@ -610,23 +604,17 @@ impl<'g> ShardedExecutor<'g> {
             };
 
             let emitting = r > emitted;
+            if emitting {
+                tally.round_start(r, live_count, 0);
+            }
             for &v in &crashes_now {
                 alive[v as usize] = false;
                 crashed += 1;
                 live_count -= 1;
                 shard_live[owner(v)] -= 1;
                 if emitting {
-                    self.probe.emit_with(|| Event::Fault {
-                        scope: EXEC_SCOPE.to_string(),
-                        round: r - 1,
-                        kind: FaultKind::Crash,
-                        node: Some(u64::from(v)),
-                        count: 1,
-                    });
+                    tally.crash(NodeId(v));
                 }
-            }
-            if emitting {
-                c_live.set(live_count as i64);
             }
             for &(v, o) in &agg.halts {
                 alive[v as usize] = false;
@@ -636,34 +624,12 @@ impl<'g> ShardedExecutor<'g> {
             }
             pending_ghosts = agg.next_ghosts;
             if emitting {
-                c_msgs.add(agg.msgs as i64);
-                c_halted.add(agg.halts.len() as i64);
-                if agg.dropped > 0 {
-                    if let Some(c) = &c_dropped {
-                        c.add(agg.dropped as i64);
-                    }
-                    self.probe.emit_with(|| Event::Fault {
-                        scope: EXEC_SCOPE.to_string(),
-                        round: r - 1,
-                        kind: FaultKind::Drop,
-                        node: None,
-                        count: agg.dropped,
-                    });
-                }
-                if agg.stalled > 0 {
-                    if let Some(c) = &c_stalled {
-                        c.add(agg.stalled as i64);
-                    }
-                    self.probe.emit_with(|| Event::Fault {
-                        scope: EXEC_SCOPE.to_string(),
-                        round: r - 1,
-                        kind: FaultKind::Stall,
-                        node: None,
-                        count: agg.stalled,
-                    });
-                }
-                g_halted_frac.set((n - live_count) as f64 / n as f64);
-                registry.emit_round(&self.probe, EXEC_SCOPE, r - 1);
+                tally.round_end(
+                    agg.msgs as i64,
+                    agg.halts.len(),
+                    agg.dropped as i64,
+                    agg.stalled as i64,
+                );
                 emitted = r;
             }
             rounds = r;
@@ -742,20 +708,15 @@ impl<'g> ShardedExecutor<'g> {
         Ok(())
     }
 
-    /// Writes `ckpt` into the checkpoint dir (atomic tmp + rename), if
-    /// one is configured.
+    /// Writes `ckpt` into the checkpoint dir (see [`crate::write_atomic`]),
+    /// if one is configured.
     fn persist_checkpoint(&self, ckpt: &Checkpoint) -> Result<(), ShardError> {
         let Some(dir) = &self.checkpoint_dir else {
             return Ok(());
         };
-        std::fs::create_dir_all(dir)
-            .map_err(|e| ShardError::Io(format!("cannot create checkpoint dir: {e}")))?;
-        let name = format!("shard-checkpoint-{:04}.json", ckpt.round);
-        let tmp = dir.join(format!(".{name}.tmp"));
-        let path = dir.join(name);
+        let path = dir.join(format!("shard-checkpoint-{:04}.json", ckpt.round));
         let json = serde::json::to_string(&ckpt.to_value());
-        std::fs::write(&tmp, json + "\n")
-            .and_then(|()| std::fs::rename(&tmp, &path))
+        crate::write_atomic(&path, (json + "\n").as_bytes())
             .map_err(|e| ShardError::Io(format!("cannot write checkpoint {}: {e}", path.display())))
     }
 }
@@ -873,7 +834,7 @@ impl Cluster {
             .as_ref()
             .map(encode_fault_plan)
             .unwrap_or_default();
-        let drop_on = exec.faults.as_ref().is_some_and(|p| p.message_drop_p > 0.0);
+        let drop_on = exec.faults.as_ref().is_some_and(FaultPlan::drops);
         // The full-graph payload is shared by every shard that picks
         // it; each shard takes its sub-topology instead when that
         // encodes smaller.

@@ -293,7 +293,7 @@ pub enum Frame {
         end: u32,
         /// [`super::WireAlgo`] spec, e.g. `greedy` or `rand:7`.
         algo: String,
-        /// [`encode_fault_plan`] payload; empty = no plan.
+        /// `encode_fault_plan` payload; empty = no plan.
         faults: Vec<u8>,
         /// `shard::topology` payload (mode byte + binary CSR data).
         graph: Vec<u8>,

@@ -230,7 +230,7 @@ pub fn frame_bytes(payload: &[u8], seq: u64, frame: &mut Vec<u8>) -> io::Result<
 /// Writes one frame stamped with the connection's next transmit
 /// sequence, as a single `write_all`, and flushes. Allocates a frame
 /// buffer per call — fine for handshakes and tests; hot paths reuse a
-/// scratch via [`write_frame_buf`] or go through [`FrameConn::send`].
+/// scratch via `write_frame_buf` or go through `FrameConn::send`.
 pub fn write_frame(
     w: &mut impl Write,
     payload: &[u8],
@@ -586,7 +586,7 @@ pub struct FrameConn {
 
 /// Chaos to apply to one outgoing frame; the default applies none.
 /// Computed by the coordinator from its `NetFaultPlan` and handed to
-/// [`FrameConn::send_with`], keeping the transport itself policy-free.
+/// `FrameConn::send_with`, keeping the transport itself policy-free.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct TxFault {
     /// Sleep this long before the frame hits the wire.

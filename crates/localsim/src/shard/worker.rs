@@ -325,7 +325,7 @@ impl ShardState {
             cur[g as usize] = algo.init(&init_ctx(g as usize));
         }
         let nxt = cur[start..end].to_vec();
-        let drop_on = plan.message_drop_p > 0.0;
+        let drop_on = plan.drops();
         let mut seen = Vec::new();
         if drop_on {
             let port_base = topo.global_port_base(start).ok_or_else(|| {
@@ -345,7 +345,7 @@ impl ShardState {
                 *p += port_base;
             }
         }
-        let jitter_on = plan.round_jitter > 0;
+        let jitter_on = plan.jitters();
         Ok(ShardState {
             topo,
             algo,

@@ -1,8 +1,8 @@
 //! A CONGEST-friendly `(Δ+1)`-coloring: randomized color trials whose
 //! per-edge messages are `O(log Δ)` bits.
 //!
-//! The paper's companion results in bandwidth-restricted models ([MU21],
-//! [HM24]) motivate demonstrating the bandwidth accounting end to end:
+//! The paper's companion results in bandwidth-restricted models (\[MU21\],
+//! \[HM24\]) motivate demonstrating the bandwidth accounting end to end:
 //! this algorithm runs on the per-port [`localsim::MessageExecutor`]
 //! through the metering [`localsim::CongestExecutor`], and its messages
 //! are single color indices — width `⌈log₂(Δ+2)⌉` bits.

@@ -21,10 +21,10 @@
 //!   partition into walks, even-length segment chopping via a ruling set on
 //!   the walk structure, and alternating 2-coloring.
 //! * [`netdecomp`] — Linial–Saks network decomposition and the
-//!   cluster-by-cluster solve driver ([GG24]'s role in the paper's
+//!   cluster-by-cluster solve driver (\[GG24\]'s role in the paper's
 //!   `Õ(log^{5/3} n)` branch; see DESIGN.md substitutions).
 //! * [`congest_coloring`] — a `(Δ+1)`-coloring with `O(log Δ)`-bit
-//!   messages, demonstrating the CONGEST metering ([MU21]/[HM24]'s model
+//!   messages, demonstrating the CONGEST metering (\[MU21\]/\[HM24\]'s model
 //!   in the related work).
 //! * [`congest_mis`] — Luby's MIS (`O(log n)`-bit bids) and Israeli–Itai
 //!   matching (2-bit messages) on the per-port executor.

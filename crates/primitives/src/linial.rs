@@ -2,7 +2,7 @@
 //!
 //! [`linial_coloring`] reduces unique `u64` identifiers to `O(Δ²)` colors
 //! in `O(log* n)` communication rounds using cover-free families built from
-//! polynomials over `GF(q)` ([Lin92]). [`delta_plus_one_coloring`] then
+//! polynomials over `GF(q)` (\[Lin92\]). [`delta_plus_one_coloring`] then
 //! applies the Kuhn–Wattenhofer parallel block reduction to reach `Δ + 1`
 //! colors in `O(Δ log Δ)` further rounds.
 

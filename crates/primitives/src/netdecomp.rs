@@ -2,7 +2,7 @@
 //!
 //! The paper's `Õ(log^{5/3} n)` branch runs its maximal matching, MIS, and
 //! `(deg+1)`-list coloring subroutines through the near-optimal network
-//! decomposition of [GG24]. That machinery is a paper-sized project by
+//! decomposition of \[GG24\]. That machinery is a paper-sized project by
 //! itself; this module provides the *classic* stand-in (see DESIGN.md,
 //! substitutions): the Linial–Saks randomized `(O(log n), O(log n))`
 //! decomposition, plus a generic "solve cluster-by-cluster" driver that

@@ -94,7 +94,7 @@ pub enum Event {
         rounds: u64,
         /// Wall-clock duration of the span in nanoseconds.
         wall_ns: u64,
-        /// Counters accumulated on the span, in first-touch order.
+        /// Always empty; kept so the JSONL schema stays stable.
         counters: Vec<(String, i64)>,
     },
     /// Rounds were charged to the round ledger.
@@ -106,7 +106,8 @@ pub enum Event {
         /// Charge flavour.
         kind: ChargeKind,
     },
-    /// Per-round snapshot of a metric registry.
+    /// Per-round counters of one executor round: the deltas the executor
+    /// tallied while stepping it, plus its end-of-round gauges.
     ///
     /// # Counter conventions
     ///
@@ -126,7 +127,7 @@ pub enum Event {
         scope: String,
         /// Round index, starting at 0.
         round: u64,
-        /// Counter values for this round, in registration order.
+        /// Counter values for this round, in the executor's fixed order.
         counters: Vec<(String, i64)>,
         /// Gauge values at the end of this round.
         gauges: Vec<(String, f64)>,

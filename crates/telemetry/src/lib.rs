@@ -17,13 +17,13 @@
 //!   format documented in `docs/OBSERVABILITY.md`.
 //!
 //! Phase structure is reported through [`Span`]s (wall-clock + rounds
-//! charged), per-round series through a [`Registry`] of [`Counter`]s and
-//! [`Gauge`]s snapshotted once per simulated round.
+//! charged, closed by the round ledger that owns them), per-round series
+//! through one [`Event::Round`] per simulated round, and whole-run totals
+//! through a [`MetricsHub`].
 
 pub mod event;
 pub mod metrics;
 pub mod probe;
-pub mod registry;
 pub mod sink;
 
 pub use event::{ChargeKind, Event, FaultKind};
@@ -32,5 +32,4 @@ pub use metrics::{
     WorkerLaneSnapshot, METRICS_SCHEMA_VERSION,
 };
 pub use probe::{Probe, Span};
-pub use registry::{Counter, Gauge, Registry};
 pub use sink::{FanoutSink, FlightRecorder, JsonlSink, NullSink, RecordingSink, Sink};

@@ -1,9 +1,9 @@
 //! Lock-cheap process metrics: counters, watermark gauges, log₂-bucketed
 //! histograms, and per-worker utilization lanes.
 //!
-//! The [`Registry`](crate::Registry) in this crate serves *per-round
-//! series* — single-threaded counters snapshotted and reset after every
-//! simulated round. This module is the complementary *whole-run* layer: a
+//! Per-round series travel as one [`Event::Round`](crate::Event::Round)
+//! per simulated round, tallied by the executor that steps the round.
+//! This module is the complementary *whole-run* layer: a
 //! [`MetricsHub`] is a thread-safe registry of monotonic counters,
 //! high-watermark gauges, and log₂ histograms that instrumented code
 //! updates with relaxed atomics (no locks on the hot path; registration

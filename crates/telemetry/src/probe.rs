@@ -93,8 +93,10 @@ impl Probe {
     }
 
     /// Opens a phase span. Emits [`Event::SpanEnter`] now and
-    /// [`Event::SpanExit`] when the returned guard is dropped (or
-    /// [`Span::finish`]ed).
+    /// [`Event::SpanExit`] when the returned guard is [`Span::finish`]ed
+    /// (or dropped, with 0 rounds). Pipeline code does not call this
+    /// directly: the round ledger opens a span around a phase and closes
+    /// it with the rounds charged meanwhile.
     #[must_use]
     pub fn span(&self, path: impl Into<String>) -> Span {
         if self.enabled() {
@@ -104,18 +106,12 @@ impl Probe {
                 probe: self.clone(),
                 path,
                 start: Some(Instant::now()),
-                rounds: 0,
-                counters: Vec::new(),
-                closed: false,
             }
         } else {
             Span {
                 probe: Probe::disabled(),
                 path: String::new(),
                 start: None,
-                rounds: 0,
-                counters: Vec::new(),
-                closed: true,
             }
         }
     }
@@ -130,14 +126,11 @@ impl fmt::Debug for Probe {
 }
 
 /// A drop guard measuring one phase: wall-clock from construction to
-/// drop, plus explicitly charged rounds and named counters.
+/// close, plus the rounds it is closed with.
 pub struct Span {
     probe: Probe,
     path: String,
     start: Option<Instant>,
-    rounds: u64,
-    counters: Vec<(String, i64)>,
-    closed: bool,
 }
 
 impl Span {
@@ -147,49 +140,29 @@ impl Span {
         &self.path
     }
 
-    /// Charges communication rounds to this span.
-    pub fn add_rounds(&mut self, rounds: u64) {
-        self.rounds += rounds;
+    /// Closes the span now, emitting [`Event::SpanExit`] with `rounds`
+    /// charged.
+    pub fn finish(mut self, rounds: u64) {
+        self.emit_exit(rounds);
     }
 
-    /// Adds `delta` to the named span counter (created at zero on first
-    /// touch).
-    pub fn count(&mut self, name: &str, delta: i64) {
-        if self.closed {
+    fn emit_exit(&mut self, rounds: u64) {
+        let Some(start) = self.start.take() else {
             return;
-        }
-        if let Some((_, v)) = self.counters.iter_mut().find(|(n, _)| n == name) {
-            *v += delta;
-        } else {
-            self.counters.push((name.to_string(), delta));
-        }
-    }
-
-    /// Closes the span now, emitting [`Event::SpanExit`].
-    pub fn finish(mut self) {
-        self.emit_exit();
-    }
-
-    fn emit_exit(&mut self) {
-        if self.closed {
-            return;
-        }
-        self.closed = true;
-        let wall_ns = self.start.map_or(0, |s| {
-            u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        });
+        };
+        let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.probe.emit(Event::SpanExit {
             path: std::mem::take(&mut self.path),
-            rounds: self.rounds,
+            rounds,
             wall_ns,
-            counters: std::mem::take(&mut self.counters),
+            counters: Vec::new(),
         });
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.emit_exit();
+        self.emit_exit(0);
     }
 }
 
@@ -202,12 +175,7 @@ mod tests {
     fn span_emits_enter_and_exit() {
         let sink = Arc::new(RecordingSink::new());
         let probe = Probe::new(sink.clone());
-        {
-            let mut span = probe.span("pipeline/acd");
-            span.add_rounds(5);
-            span.count("cliques", 2);
-            span.count("cliques", 1);
-        }
+        probe.span("pipeline/acd").finish(5);
         let events = sink.events();
         assert_eq!(events.len(), 2);
         assert_eq!(
@@ -225,7 +193,31 @@ mod tests {
             } => {
                 assert_eq!(path, "pipeline/acd");
                 assert_eq!(*rounds, 5);
-                assert_eq!(counters, &vec![("cliques".to_string(), 3)]);
+                assert!(counters.is_empty());
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dropped_span_exits_with_zero_rounds() {
+        let sink = Arc::new(RecordingSink::new());
+        let probe = Probe::new(sink.clone());
+        {
+            let _span = probe.span("p");
+        }
+        let events = sink.events();
+        assert_eq!(events.len(), 2);
+        match &events[1] {
+            Event::SpanExit {
+                path,
+                rounds,
+                counters,
+                ..
+            } => {
+                assert_eq!(path, "p");
+                assert_eq!(*rounds, 0);
+                assert!(counters.is_empty());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -236,7 +228,7 @@ mod tests {
         let sink = Arc::new(RecordingSink::new());
         let probe = Probe::new(sink.clone());
         let span = probe.span("p");
-        span.finish();
+        span.finish(3);
         assert_eq!(sink.events().len(), 2);
     }
 
@@ -244,10 +236,8 @@ mod tests {
     fn disabled_probe_emits_nothing() {
         let probe = Probe::disabled();
         assert!(!probe.enabled());
-        let mut span = probe.span("p");
-        span.add_rounds(10);
-        span.count("x", 1);
-        drop(span);
+        probe.span("p").finish(10);
+        drop(probe.span("q"));
         probe.emit_with(|| panic!("must not construct events when disabled"));
     }
 }

@@ -17,7 +17,7 @@
 //! | [`subroutines`] | Linial coloring + color reduction, (deg+1)-list coloring, MIS, ruling sets, maximal matching, degree splitting, network decomposition, CONGEST toolbox |
 //! | [`grabbing`] | multihypergraphs and hyperedge grabbing (Lemma 5; three solvers) |
 //! | [`coloring`] | the Δ-coloring pipelines (Theorems 1 and 2), the sparse+dense extension, figure renderers |
-//! | [`reference`] | baselines: sequential Brooks, Δ+1, global stalling, greedy jamming |
+//! | [`reference`](mod@reference) | baselines: sequential Brooks, Δ+1, global stalling, greedy jamming |
 //!
 //! A CLI ships as `delta-color` (generate instances, color edge-list
 //! files); see `docs/ALGORITHM.md` for a guided tour of the pipeline.

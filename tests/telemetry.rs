@@ -7,9 +7,9 @@ use std::sync::Arc;
 
 use delta_coloring::coloring::{
     color_deterministic, color_deterministic_probed, color_randomized, color_randomized_probed,
-    Config, RandConfig,
+    color_sparse_dense, color_sparse_dense_probed, Config, RandConfig,
 };
-use delta_coloring::graphs::generators::{self, HardCliqueParams};
+use delta_coloring::graphs::generators::{self, HardCliqueParams, SparseDenseParams};
 use delta_coloring::local::{ChargeKind, Event, NullSink, Probe, RecordingSink, EXEC_SCOPE};
 
 fn hard(cliques: usize, delta: usize, seed: u64) -> generators::HardCliqueInstance {
@@ -149,4 +149,105 @@ fn charge_kinds_distinguish_virtual_phases() {
         kinds.contains(&ChargeKind::Virtual),
         "pair coloring runs on a virtual graph"
     );
+}
+
+/// Rounds of the top-level spans only. Leftover components of the
+/// randomized pipeline replay their own (nested) spans inside
+/// `pipeline/post-shattering`, and the ledger absorbs a component only
+/// through its maximum, so nested spans are not part of the partition.
+fn top_level_span_rounds(events: &[Event]) -> u64 {
+    let mut depth = 0usize;
+    let mut total = 0;
+    for e in events {
+        match e {
+            Event::SpanEnter { .. } => depth += 1,
+            Event::SpanExit { rounds, .. } => {
+                depth -= 1;
+                if depth == 0 {
+                    total += rounds;
+                }
+            }
+            _ => {}
+        }
+    }
+    total
+}
+
+#[test]
+fn randomized_spans_account_for_every_round_with_leftover_components() {
+    let inst = hard(160, 16, 5);
+    let sink = Arc::new(RecordingSink::new());
+    let report = color_randomized_probed(
+        &inst.graph,
+        &RandConfig::for_delta(16, 1),
+        &Probe::new(sink.clone()),
+    )
+    .unwrap();
+    assert!(
+        report.shatter.components > 0,
+        "the instance must leave components for the pool"
+    );
+    assert!(report
+        .ledger
+        .entries()
+        .iter()
+        .any(|e| e.phase == "post-shattering (max component)"));
+    assert_eq!(
+        top_level_span_rounds(&sink.events()),
+        report.ledger.total(),
+        "pipeline spans must account for every round"
+    );
+}
+
+#[test]
+fn sparse_dense_spans_account_for_every_round() {
+    let inst = generators::sparse_dense_mix(&SparseDenseParams {
+        cliques: 68,
+        delta: 32,
+        sparse: 120,
+        cross: 8,
+        seed: 3,
+    })
+    .unwrap();
+    let sink = Arc::new(RecordingSink::new());
+    let report = color_sparse_dense_probed(
+        &inst.graph,
+        &RandConfig::for_delta(32, 1),
+        &Probe::new(sink.clone()),
+    )
+    .unwrap();
+    assert!(report.ledger.total() > 0);
+    assert_eq!(
+        top_level_span_rounds(&sink.events()),
+        report.ledger.total(),
+        "pipeline spans must account for every round"
+    );
+}
+
+#[test]
+fn ledger_groups_have_no_phantom_hard_phase() {
+    let inst = hard(34, 16, 47);
+    let det = color_deterministic(&inst.graph, &Config::for_delta(16)).unwrap();
+    let rand = color_randomized(&inst.graph, &RandConfig::for_delta(16, 3)).unwrap();
+    let mix = generators::sparse_dense_mix(&SparseDenseParams {
+        cliques: 68,
+        delta: 32,
+        sparse: 120,
+        cross: 8,
+        seed: 3,
+    })
+    .unwrap();
+    let general = color_sparse_dense(&mix.graph, &RandConfig::for_delta(32, 1)).unwrap();
+    for (name, ledger) in [
+        ("det", &det.ledger),
+        ("rand", &rand.ledger),
+        ("general", &general.ledger),
+    ] {
+        let groups: Vec<String> = ledger.grouped().into_iter().map(|(p, _)| p).collect();
+        assert!(
+            groups.iter().any(|p| p.contains("classification")),
+            "{name}: {groups:?}"
+        );
+        assert!(!groups.iter().any(|p| p == "hard"), "{name}: {groups:?}");
+    }
 }
