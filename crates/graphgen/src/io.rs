@@ -2,7 +2,8 @@
 //!
 //! The edge-list format is one `u v` pair per line (whitespace separated,
 //! 0-based vertex ids); blank lines and `#` comments are ignored. The
-//! vertex count is `max id + 1` unless a `n <count>` header line raises it.
+//! vertex count is `max id + 1` unless a `n <count>` header line raises it;
+//! either way it may be at most [`MAX_VERTICES`].
 //!
 //! ```text
 //! # a triangle plus an isolated vertex
@@ -17,6 +18,11 @@ use std::path::Path;
 
 use crate::{Coloring, Graph, GraphError, NodeId};
 
+/// The most vertices a graph file may declare or imply. A larger count
+/// is refused before anything is allocated for it, so a hostile header
+/// line is an error, not an allocation failure.
+pub const MAX_VERTICES: usize = 1 << 26;
+
 /// Errors from parsing graph text.
 #[derive(Debug)]
 pub enum IoError {
@@ -24,6 +30,9 @@ pub enum IoError {
     Io(std::io::Error),
     /// A malformed line, with its 1-based number.
     Parse { line: usize, content: String },
+    /// A line whose declared count or vertex id implies more than
+    /// [`MAX_VERTICES`] vertices, with its 1-based number.
+    TooManyVertices { line: usize, needed: u64 },
     /// The edges do not form a valid simple graph.
     Graph(GraphError),
 }
@@ -35,6 +44,10 @@ impl std::fmt::Display for IoError {
             IoError::Parse { line, content } => {
                 write!(f, "cannot parse line {line}: {content:?}")
             }
+            IoError::TooManyVertices { line, needed } => write!(
+                f,
+                "line {line} needs {needed} vertices, more than the {MAX_VERTICES} allowed"
+            ),
             IoError::Graph(e) => write!(f, "invalid graph: {e}"),
         }
     }
@@ -58,8 +71,10 @@ impl From<GraphError> for IoError {
 ///
 /// # Errors
 ///
-/// Returns a parse error with the offending line, or a graph-validity
-/// error (self loop, duplicate edge).
+/// Returns a parse error with the offending line, a
+/// [`IoError::TooManyVertices`] error for a line that needs more than
+/// [`MAX_VERTICES`] vertices, or a graph-validity error (self loop,
+/// duplicate edge).
 pub fn parse_edge_list(text: &str) -> Result<Graph, IoError> {
     let mut n = 0usize;
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -72,11 +87,11 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, IoError> {
         let (a, b) = (parts.next(), parts.next());
         match (a, b, parts.next()) {
             (Some("n"), Some(count), None) => {
-                let c: usize = count.parse().map_err(|_| IoError::Parse {
+                let c: u64 = count.parse().map_err(|_| IoError::Parse {
                     line: i + 1,
                     content: raw.to_string(),
                 })?;
-                n = n.max(c);
+                n = n.max(capped(c, i + 1)?);
             }
             (Some(a), Some(b), None) => {
                 let (u, v): (u32, u32) = match (a.parse(), b.parse()) {
@@ -88,7 +103,7 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, IoError> {
                         })
                     }
                 };
-                n = n.max(u.max(v) as usize + 1);
+                n = n.max(capped(u64::from(u.max(v)) + 1, i + 1)?);
                 edges.push((u, v));
             }
             _ => {
@@ -100,6 +115,15 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, IoError> {
         }
     }
     Ok(Graph::from_edges(n, edges)?)
+}
+
+/// `needed` as a vertex count, or the error naming line `line` when it
+/// exceeds [`MAX_VERTICES`].
+fn capped(needed: u64, line: usize) -> Result<usize, IoError> {
+    match usize::try_from(needed) {
+        Ok(n) if n <= MAX_VERTICES => Ok(n),
+        _ => Err(IoError::TooManyVertices { line, needed }),
+    }
 }
 
 /// Reads a graph from an edge-list file.
@@ -370,6 +394,40 @@ mod tests {
             Err(IoError::Parse { .. })
         ));
         assert!(matches!(parse_edge_list("0 0"), Err(IoError::Graph(_))));
+    }
+
+    #[test]
+    fn refuses_a_declared_count_past_the_cap() {
+        let err = parse_edge_list("n 18446744073709551615\n").unwrap_err();
+        assert!(matches!(
+            err,
+            IoError::TooManyVertices {
+                line: 1,
+                needed: u64::MAX
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "line 1 needs 18446744073709551615 vertices, more than the 67108864 allowed"
+        );
+        let past_cap = format!("n {}\n", MAX_VERTICES + 1);
+        assert!(matches!(
+            parse_edge_list(&past_cap),
+            Err(IoError::TooManyVertices { line: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn refuses_an_edge_id_past_the_cap() {
+        let err = parse_edge_list("# header\n0 1\n0 4294967295\n").unwrap_err();
+        assert!(matches!(
+            err,
+            IoError::TooManyVertices {
+                line: 3,
+                needed: 4_294_967_296
+            }
+        ));
+        assert!(err.to_string().contains("line 3"), "{err}");
     }
 
     #[test]

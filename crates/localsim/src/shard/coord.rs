@@ -429,9 +429,21 @@ impl<'g> ShardedExecutor<'g> {
                 rounds: 0,
             });
         }
+        // Start-up and shutdown are wall-clock costs outside the rounds;
+        // naming them shows where a run's non-round time goes.
+        let hub = self.probe.metrics();
+        let started = Instant::now();
         let mut cluster = Cluster::start(self, algo)?;
+        if let Some(h) = hub {
+            h.histogram("shard.startup_ns").observe(elapsed_ns(started));
+        }
         let result = self.drive(&mut cluster, algo, max_rounds);
+        let stopping = Instant::now();
         cluster.shutdown();
+        if let Some(h) = hub {
+            h.histogram("shard.shutdown_ns")
+                .observe(elapsed_ns(stopping));
+        }
         result
     }
 
@@ -634,7 +646,7 @@ impl<'g> ShardedExecutor<'g> {
             }
             rounds = r;
             if let Some(h) = &h_round {
-                h.observe(u64::try_from(round_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                h.observe(elapsed_ns(round_start));
             }
 
             if self.checkpoint_every > 0
@@ -721,6 +733,11 @@ impl<'g> ShardedExecutor<'g> {
     }
 }
 
+/// Nanoseconds since `t`, saturating.
+fn elapsed_ns(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 fn full_bitmap(n: usize) -> Vec<u8> {
     let mut bm = vec![0u8; n.div_ceil(8)];
     for v in 0..n {
@@ -805,7 +822,9 @@ struct Cluster {
 impl Cluster {
     /// Binds the loopback listener, spawns one worker per non-empty
     /// partition range, and completes the Hello/Init handshake with
-    /// each.
+    /// each. Every shard is connected and sent its `Init` before any
+    /// `InitAck` is awaited, so each worker's graph decode and state
+    /// build overlaps the next shard's handshake.
     fn start(exec: &ShardedExecutor, algo: WireAlgo) -> Result<Cluster, ShardError> {
         let graph = exec.graph;
         let all: Vec<NodeId> = graph.vertices().collect();
@@ -900,9 +919,16 @@ impl Cluster {
             c_ghost_suppressed,
             c_adopted,
         };
-        for s in 0..cluster.ranges.len() {
+        // Spawn and accept stay strictly one shard at a time, so the
+        // connection accepted for shard `s` is the one `handles[s]`
+        // opened (`kill_shard` relies on the pairing).
+        let mut deadlines = Vec::with_capacity(shard_count);
+        for s in 0..shard_count {
             cluster.handles[s] = cluster.spawn_worker()?;
-            cluster.attach(s)?;
+            deadlines.push(cluster.connect(s)?);
+        }
+        for (s, deadline) in deadlines.into_iter().enumerate() {
+            cluster.await_ack(s, deadline)?;
         }
         Ok(cluster)
     }
@@ -938,12 +964,14 @@ impl Cluster {
         }
     }
 
-    /// Accepts the next incoming worker connection (bounded wait) and
-    /// runs the Hello → Init → InitAck handshake for shard `s`, sending
-    /// the cached pre-framed `Init` bytes.
-    fn attach(&mut self, s: usize) -> Result<(), ShardError> {
+    /// The first half of shard `s`'s handshake: accepts the next
+    /// incoming worker connection, reads its `Hello` and sends the
+    /// cached pre-framed `Init` bytes. Returns the connect deadline,
+    /// which [`Cluster::await_ack`] keeps for the rest of the handshake.
+    fn connect(&mut self, s: usize) -> Result<Instant, ShardError> {
         let timeout = self.liveness.connect_timeout;
         let deadline = Instant::now() + timeout;
+        let mut spins = 0u32;
         let stream: TcpStream = loop {
             match self.listener.accept() {
                 Ok((stream, _)) => break stream,
@@ -953,7 +981,7 @@ impl Cluster {
                             "worker for shard {s} did not connect within {timeout:?}"
                         )));
                     }
-                    std::thread::sleep(Duration::from_millis(20));
+                    wire::backoff(&mut spins);
                 }
                 Err(e) => return Err(ShardError::Io(format!("accept failed: {e}"))),
             }
@@ -977,6 +1005,18 @@ impl Cluster {
         if let Some(c) = &self.c_init_bytes {
             c.add(self.init_frames[s].len() as u64);
         }
+        self.conns[s] = Some(conn);
+        Ok(deadline)
+    }
+
+    /// The second half of shard `s`'s handshake: waits for its
+    /// `InitAck` until `deadline`. On failure the half-open connection
+    /// is dropped.
+    fn await_ack(&mut self, s: usize, deadline: Instant) -> Result<(), ShardError> {
+        let meter = self.meter.clone();
+        let mut conn = self.conns[s]
+            .take()
+            .ok_or_else(|| ShardError::Io(format!("shard {s} is not connected")))?;
         match conn
             .recv_deadline(&meter, Some(deadline))
             .and_then(|p| Frame::decode(&p))
@@ -1313,7 +1353,7 @@ impl Cluster {
             c.add(suppressed_total);
         }
         if let Some(h) = h_barrier {
-            h.observe(u64::try_from(barrier_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            h.observe(elapsed_ns(barrier_start));
         }
         Ok(agg)
     }
@@ -1446,7 +1486,8 @@ impl Cluster {
                 // burns one respawn and is retried, never hung on.
                 let attached = self.spawn_worker().and_then(|handle| {
                     self.handles[s] = handle;
-                    self.attach(s)
+                    let deadline = self.connect(s)?;
+                    self.await_ack(s, deadline)
                 });
                 if attached.is_err() {
                     pending.push(s);
@@ -1567,12 +1608,11 @@ impl Cluster {
         for handle in &mut self.handles {
             if let WorkerHandle::Process(child) = handle {
                 let deadline = Instant::now() + Duration::from_secs(5);
+                let mut spins = 0u32;
                 loop {
                     match child.try_wait() {
                         Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() < deadline => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
+                        Ok(None) if Instant::now() < deadline => wire::backoff(&mut spins),
                         _ => {
                             let _ = child.kill();
                             let _ = child.wait();

@@ -9,7 +9,7 @@
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use graphgen::{generators, Graph};
 use localsim::shard::{
@@ -17,8 +17,8 @@ use localsim::shard::{
     WorkerBackend, PROTO_VERSION,
 };
 use localsim::{
-    ChaosKill, Event, Executor, FaultPlan, Liveness, NetFaultPlan, Probe, RecordingSink,
-    ShardError, ShardedExecutor, SimError, WireAlgo,
+    ChaosKill, Event, Executor, FaultPlan, Liveness, MetricsHub, NetFaultPlan, Probe,
+    RecordingSink, ShardError, ShardedExecutor, SimError, WireAlgo,
 };
 
 const MAX_ROUNDS: u64 = 10_000;
@@ -575,6 +575,7 @@ fn never_connecting_worker_fails_with_connect_timeout_not_a_hang() {
         connect_timeout: Duration::from_millis(300),
         ..Liveness::default()
     };
+    let started = Instant::now();
     let err = ShardedExecutor::new(&g)
         .with_shards(2)
         .with_backend(backend)
@@ -585,6 +586,40 @@ fn never_connecting_worker_fails_with_connect_timeout_not_a_hang() {
         !matches!(err, ShardError::Sim(_)),
         "expected a transport-layer failure, got {err}"
     );
+    let waited = started.elapsed();
+    assert!(
+        waited < liveness.connect_timeout + Duration::from_secs(2),
+        "the missing worker was waited on for {waited:?}"
+    );
+}
+
+#[test]
+fn late_worker_is_accepted_and_matches_single_process() {
+    // Every worker sleeps before connecting, so the coordinator's accept
+    // wait runs through both the yielding and the sleeping phase of its
+    // backoff before the connection arrives.
+    let g = generators::cycle(24);
+    let algo = WireAlgo::Rand { seed: 5 };
+    let want = Executor::new(&g).run(&algo, MAX_ROUNDS).unwrap();
+    let backend = WorkerBackend::Custom(Arc::new(|addr: String| {
+        std::thread::sleep(Duration::from_millis(50));
+        let _ = serve_connect_with(&addr, Duration::from_secs(10));
+    }));
+    let hub = Arc::new(MetricsHub::new());
+    let got = ShardedExecutor::new(&g)
+        .with_shards(3)
+        .with_backend(backend)
+        .with_probe(Probe::disabled().with_metrics(hub.clone()))
+        .run(algo, MAX_ROUNDS)
+        .unwrap();
+    assert_eq!(got.outputs, want.outputs);
+    assert_eq!(got.rounds, want.rounds);
+    // The late connect is start-up time, and start-up and shutdown are
+    // each recorded once per run.
+    let startup = hub.histogram("shard.startup_ns");
+    assert_eq!(startup.count(), 1);
+    assert!(startup.sum() >= 50_000_000, "startup {} ns", startup.sum());
+    assert_eq!(hub.histogram("shard.shutdown_ns").count(), 1);
 }
 
 #[test]
