@@ -66,17 +66,19 @@ impl LoopholeReport {
 /// external edges); and non-clique 6-cycles visible through a vertex with
 /// two external edges (the pattern Lemma 10's proof relies on).
 pub fn detect_loopholes(g: &Graph, cluster_of: &[Option<u32>]) -> LoopholeReport {
+    detect_with(g, cluster_of, external_four_cycles)
+}
+
+/// Case 3's search: votes for the non-clique 4-cycles through an
+/// external edge.
+type Case3 = fn(&Graph, &[Option<u32>], &mut [Option<Loophole>]);
+
+/// [`detect_loopholes`] with its case 3 supplied, so tests can compare
+/// the search against a reference.
+fn detect_with(g: &Graph, cluster_of: &[Option<u32>], case3: Case3) -> LoopholeReport {
     let n = g.n();
     let delta = g.max_degree();
     let mut vote: Vec<Option<Loophole>> = vec![None; n];
-
-    let assign = |vote: &mut Vec<Option<Loophole>>, lh: Loophole| {
-        for v in lh.vertices() {
-            if vote[v.index()].is_none() {
-                vote[v.index()] = Some(lh.clone());
-            }
-        }
-    };
 
     // Case 1: low degree.
     for v in g.vertices() {
@@ -98,10 +100,6 @@ pub fn detect_loopholes(g: &Graph, cluster_of: &[Option<u32>]) -> LoopholeReport
             members[c as usize].push(v);
         }
     }
-    let same_cluster = |a: NodeId, b: NodeId| {
-        cluster_of[a.index()].is_some() && cluster_of[a.index()] == cluster_of[b.index()]
-    };
-
     // Case 2: intra-cluster non-clique 4-cycles — non-adjacent co-members
     // with two common neighbors.
     for ms in &members {
@@ -119,30 +117,7 @@ pub fn detect_loopholes(g: &Graph, cluster_of: &[Option<u32>]) -> LoopholeReport
         }
     }
 
-    // Case 3: 4-cycles through an external edge u–v: u, v, x ∈ N(v), and a
-    // common neighbor w of u and x.
-    for u in g.vertices() {
-        for &v in g.neighbors(u) {
-            if same_cluster(u, v) || u > v {
-                continue;
-            }
-            for &x in g.neighbors(v) {
-                if x == u {
-                    continue;
-                }
-                for &w in &graphgen::analysis::common_neighbors(g, u, x) {
-                    if w == v {
-                        continue;
-                    }
-                    let cyc = vec![u, v, x, w];
-                    if !graphgen::analysis::is_clique(g, &cyc) {
-                        assign(&mut vote, Loophole::EvenCycle(cyc));
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    case3(g, cluster_of, &mut vote);
 
     // Case 4: 6-cycles via a wedge of two external edges x–v–y plus a path
     // of length 4 from x to y with no two consecutive intra-cluster edges.
@@ -151,7 +126,7 @@ pub fn detect_loopholes(g: &Graph, cluster_of: &[Option<u32>]) -> LoopholeReport
             .neighbors(v)
             .iter()
             .copied()
-            .filter(|&w| !same_cluster(v, w))
+            .filter(|&w| !same_cluster(cluster_of, v, w))
             .collect();
         for (i, &x) in ext.iter().enumerate() {
             for &y in &ext[i + 1..] {
@@ -172,6 +147,59 @@ pub fn detect_loopholes(g: &Graph, cluster_of: &[Option<u32>]) -> LoopholeReport
     }
 }
 
+/// Whether `a` and `b` share an almost-clique (`None` is a singleton).
+fn same_cluster(cluster_of: &[Option<u32>], a: NodeId, b: NodeId) -> bool {
+    cluster_of[a.index()].is_some() && cluster_of[a.index()] == cluster_of[b.index()]
+}
+
+/// Votes `lh` for each of its vertices that has no vote yet.
+fn assign(vote: &mut [Option<Loophole>], lh: Loophole) {
+    for v in lh.vertices() {
+        if vote[v.index()].is_none() {
+            vote[v.index()] = Some(lh.clone());
+        }
+    }
+}
+
+/// Case 3: 4-cycles through an external edge u–v: u, v, x ∈ N(v), and the
+/// first common neighbor w ≠ v of u and x that closes a non-clique cycle.
+/// `N(u)` is marked once per `u` (stamp `u`), so scanning `N(x)` in
+/// ascending order for marked vertices visits the common neighbors in the
+/// order a sorted merge lists them, with no allocation per triple.
+fn external_four_cycles(g: &Graph, cluster_of: &[Option<u32>], vote: &mut [Option<Loophole>]) {
+    let mut in_nu: Vec<u32> = vec![u32::MAX; g.n()];
+    for u in g.vertices() {
+        let mut marked = false;
+        for &v in g.neighbors(u) {
+            if same_cluster(cluster_of, u, v) || u > v {
+                continue;
+            }
+            if !marked {
+                for &w in g.neighbors(u) {
+                    in_nu[w.index()] = u.0;
+                }
+                marked = true;
+            }
+            for &x in g.neighbors(v) {
+                if x == u {
+                    continue;
+                }
+                // The four vertices are distinct and the cycle's edges
+                // exist, so it is a clique iff both chords u–x and v–w do.
+                let ux = in_nu[x.index()] == u.0;
+                let w = g
+                    .neighbors(x)
+                    .iter()
+                    .copied()
+                    .find(|&w| w != v && in_nu[w.index()] == u.0 && !(ux && g.has_edge(v, w)));
+                if let Some(w) = w {
+                    assign(vote, Loophole::EvenCycle(vec![u, v, x, w]));
+                }
+            }
+        }
+    }
+}
+
 /// Path x → … → y of length exactly 4, avoiding `apex`, with no two
 /// consecutive intra-cluster edges (which would re-enter the same cluster
 /// and be covered by the 4-cycle searches).
@@ -182,9 +210,7 @@ fn six_cycle_path(
     y: NodeId,
     apex: NodeId,
 ) -> Option<Vec<NodeId>> {
-    let same = |a: NodeId, b: NodeId| {
-        cluster_of[a.index()].is_some() && cluster_of[a.index()] == cluster_of[b.index()]
-    };
+    let same = |a: NodeId, b: NodeId| same_cluster(cluster_of, a, b);
     for &a in g.neighbors(x) {
         if a == apex || a == y {
             continue;
@@ -294,6 +320,90 @@ mod tests {
 
     fn no_clusters(n: usize) -> Vec<Option<u32>> {
         vec![None; n]
+    }
+
+    /// The merge-based case 3 that [`external_four_cycles`] replaced: a
+    /// `common_neighbors` Vec per (u, v, x) and an `is_clique` check per
+    /// candidate w.
+    fn external_four_cycles_by_merge(
+        g: &Graph,
+        cluster_of: &[Option<u32>],
+        vote: &mut [Option<Loophole>],
+    ) {
+        for u in g.vertices() {
+            for &v in g.neighbors(u) {
+                if same_cluster(cluster_of, u, v) || u > v {
+                    continue;
+                }
+                for &x in g.neighbors(v) {
+                    if x == u {
+                        continue;
+                    }
+                    for &w in &graphgen::analysis::common_neighbors(g, u, x) {
+                        if w == v {
+                            continue;
+                        }
+                        let cyc = vec![u, v, x, w];
+                        if !graphgen::analysis::is_clique(g, &cyc) {
+                            assign(vote, Loophole::EvenCycle(cyc));
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn marker_case_three_votes_like_the_merge_search() {
+        use acd::{compute_acd, AcdParams};
+        use generators::{HardCliqueParams, LoopholeKind};
+
+        let base = |seed| HardCliqueParams {
+            cliques: 34,
+            delta: 16,
+            external_per_vertex: 1,
+            seed,
+        };
+        let easy = |seed, kind| {
+            generators::easy_cliques(&generators::EasyCliqueParams {
+                base: base(seed),
+                easy: 3,
+                kind,
+            })
+            .unwrap()
+            .graph
+        };
+        let graphs = [
+            (
+                "hard_cliques",
+                generators::hard_cliques(&base(11)).unwrap().graph,
+            ),
+            ("easy low-degree", easy(12, LoopholeKind::LowDegree)),
+            ("easy four-cycle", easy(13, LoopholeKind::FourCycle)),
+            ("gnp", generators::gnp(80, 0.08, 3)),
+            ("random_regular", generators::random_regular(60, 5, 4)),
+            ("cycle(4)", generators::cycle(4)),
+            ("cycle(6)", generators::cycle(6)),
+        ];
+        let mut case3_votes = 0;
+        for (name, g) in &graphs {
+            let acd = compute_acd(g, &AcdParams::for_delta(g.max_degree()));
+            for (clusters, cl) in [("acd", acd.clique_of), ("none", no_clusters(g.n()))] {
+                let fast = detect_loopholes(g, &cl);
+                let reference = detect_with(g, &cl, external_four_cycles_by_merge);
+                assert_eq!(fast.vote, reference.vote, "{name}, {clusters} clusters");
+                // Case 3 alone, so votes the earlier cases already cast
+                // cannot mask a difference.
+                let mut fast3 = vec![None; g.n()];
+                let mut reference3 = vec![None; g.n()];
+                external_four_cycles(g, &cl, &mut fast3);
+                external_four_cycles_by_merge(g, &cl, &mut reference3);
+                assert_eq!(fast3, reference3, "{name}, {clusters} clusters, case 3");
+                case3_votes += fast3.iter().flatten().count();
+            }
+        }
+        assert!(case3_votes > 0, "case 3 voted somewhere");
     }
 
     #[test]

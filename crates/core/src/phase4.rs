@@ -197,18 +197,22 @@ pub(crate) fn run_list_instance(
     if active.is_empty() {
         return Ok(());
     }
+    // One marker over `0..delta`, cleared after each vertex.
+    let mut used = vec![false; delta as usize];
     let palettes: Vec<Vec<Color>> = active
         .iter()
         .map(|&v| {
-            let used: std::collections::HashSet<Color> = g
-                .neighbors(v)
-                .iter()
-                .filter_map(|&w| coloring.get(w))
-                .collect();
-            (0..delta)
+            for c in g.neighbors(v).iter().filter_map(|&w| coloring.get(w)) {
+                if let Some(mark) = used.get_mut(c.0 as usize) {
+                    *mark = true;
+                }
+            }
+            let palette = (0..delta)
                 .map(Color)
-                .filter(|c| !used.contains(c))
-                .collect()
+                .filter(|c| !used[c.0 as usize])
+                .collect();
+            used.fill(false);
+            palette
         })
         .collect();
     let probe = ledger.probe().clone();

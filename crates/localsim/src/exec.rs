@@ -1,5 +1,7 @@
 //! The synchronous state-exchange executor.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Mutex;
 
@@ -100,6 +102,20 @@ pub trait LocalAlgorithm {
         state: &Self::State,
         neighbor_states: &[Self::State],
     ) -> Transition<Self::State, Self::Output>;
+
+    /// The next round in which a node must be stepped, called right after
+    /// `step` returned `Continue(next)` in round `ctx.round`.
+    ///
+    /// The promise: for every round `r` with `ctx.round < r < wake`,
+    /// `step` at round `r` on `next` returns `Continue(next.clone())`,
+    /// whatever the neighbors hold. [`Executor::run`] then keeps the node
+    /// asleep until `wake` instead of stepping it (outside fault plans;
+    /// see `docs/PERFORMANCE.md`). A hint that breaks the promise is a
+    /// silent wrong answer. The default, `ctx.round + 1`, never sleeps.
+    fn wake(&self, ctx: &NodeCtx, next: &Self::State) -> u64 {
+        let _ = next;
+        ctx.round + 1
+    }
 }
 
 /// Why a simulation failed.
@@ -321,6 +337,17 @@ impl<'g> Executor<'g> {
             }
         }
         let mut scratch = Scratch::new(max_degree);
+        // The wake calendar: nodes asleep until their `LocalAlgorithm::wake`
+        // round, popped in (round, node) order. Sleepers still count as
+        // live (`live_nodes`, `exec.live_peak`, `still_running`) and are
+        // charged their degree in `messages_sent` every round they sleep,
+        // so the telemetry matches a run that steps them. Fault plans need
+        // every live node visited, so a faulted run never sleeps.
+        let sleep = self.faults.is_none();
+        let mut calendar: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
+        let mut asleep_degree = 0i64;
+        let mut woken: Vec<NodeId> = Vec::new();
+        let mut merged: Vec<NodeId> = Vec::new();
         // Parallel stepping machinery: the worker pool is leased once
         // per run (first parallel round) and parked between rounds; the
         // per-slot scratch persists across rounds.
@@ -335,15 +362,25 @@ impl<'g> Executor<'g> {
                 })
             })
             .collect();
-        while !live_list.is_empty() {
+        while !live_list.is_empty() || !calendar.is_empty() {
             if rounds >= max_rounds {
                 return Err(SimError::RoundLimitExceeded {
                     limit: max_rounds,
-                    still_running: live_list.len(),
+                    still_running: live_list.len() + calendar.len(),
                 });
             }
             rounds += 1;
-            tally.round_start(rounds, live_list.len(), 0);
+            while let Some(&Reverse((_, v))) = calendar.peek().filter(|e| e.0 .0 == rounds) {
+                calendar.pop();
+                asleep_degree -= graph.degree(v) as i64;
+                woken.push(v);
+            }
+            if !woken.is_empty() {
+                merge_ascending(&live_list, &woken, &mut merged);
+                std::mem::swap(&mut live_list, &mut merged);
+                woken.clear();
+            }
+            tally.round_start(rounds, live_list.len() + calendar.len(), 0);
             // Crashes fire at the start of their round, before any node
             // steps: the node freezes its last state (visible to neighbors
             // forever, like a halted node) but will never output.
@@ -361,7 +398,7 @@ impl<'g> Executor<'g> {
                 m.incr();
             }
             if let Some(w) = &m_live_peak {
-                w.record(live_list.len() as u64);
+                w.record((live_list.len() + calendar.len()) as u64);
             }
             let round_start = m_round_ns.as_ref().map(|_| std::time::Instant::now());
             let rnd = Round {
@@ -369,6 +406,7 @@ impl<'g> Executor<'g> {
                 number: rounds,
                 node_ctx: &make_ctx,
                 stalls: jitter_on.then_some(plan),
+                sleep,
             };
             // The view is picked once per segment, never per node.
             let step = |w: SegWork<'_, A::State, A::Output>, sc: &mut Scratch<A::State>| {
@@ -460,6 +498,7 @@ impl<'g> Executor<'g> {
                     counts.dropped += sc.counts.dropped;
                     counts.stalled += sc.counts.stalled;
                     live_list.append(&mut sc.scratch.survivors);
+                    scratch.sleepers.append(&mut sc.scratch.sleepers);
                     if let (Some(h), Some(ns)) = (&m_segment_ns, sc.seg_ns.take()) {
                         h.observe(ns);
                     }
@@ -482,12 +521,17 @@ impl<'g> Executor<'g> {
             // A live node observes one state per incident edge this
             // round: one message per edge endpoint (frozen states of
             // halted neighbors included — see the Event::Round docs).
-            tally.round_end(
-                counts.msgs,
-                before - live_list.len(),
-                counts.dropped,
-                counts.stalled,
-            );
+            // Nodes asleep for the whole round are charged as if stepped.
+            let msgs = counts.msgs + asleep_degree;
+            let halted = before - live_list.len() - scratch.sleepers.len();
+            // A new sleeper's state is frozen in both buffers, like a
+            // halted node's, until it wakes.
+            for (wake, v) in scratch.sleepers.drain(..) {
+                cur[v.index()] = nxt[v.index()].clone();
+                asleep_degree += graph.degree(v) as i64;
+                calendar.push(Reverse((wake, v)));
+            }
+            tally.round_end(msgs, halted, counts.dropped, counts.stalled);
             std::mem::swap(&mut cur, &mut nxt);
             if let (Some(h), Some(start)) = (&m_round_ns, round_start) {
                 h.observe(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
@@ -504,6 +548,23 @@ impl<'g> Executor<'g> {
             rounds,
         })
     }
+}
+
+/// Merges the ascending, disjoint node lists `a` and `b` into `out`.
+fn merge_ascending(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 #[cfg(test)]
@@ -696,6 +757,143 @@ mod tests {
             assert_eq!(par.rounds, seq.rounds, "threads={k}");
             assert_eq!(par_sink.events(), seq_sink.events(), "threads={k}");
         }
+    }
+
+    /// Node `v` changes its state in round 1, idles until round
+    /// `v % 5 + 2`, then halts with the sum of its own and its neighbors'
+    /// states. With `hint` set it sleeps through the idle rounds.
+    struct Nap {
+        hint: bool,
+    }
+
+    impl LocalAlgorithm for Nap {
+        type State = u64;
+        type Output = u64;
+
+        fn init(&self, ctx: &NodeCtx) -> u64 {
+            ctx.uid
+        }
+
+        fn step(&self, ctx: &NodeCtx, state: &u64, nbrs: &[u64]) -> Transition<u64, u64> {
+            if ctx.round >= u64::from(ctx.node.0 % 5) + 2 {
+                Transition::Halt(state + nbrs.iter().sum::<u64>())
+            } else if ctx.round == 1 {
+                Transition::Continue(2 * state + 1)
+            } else {
+                Transition::Continue(*state)
+            }
+        }
+
+        fn wake(&self, ctx: &NodeCtx, _next: &u64) -> u64 {
+            if self.hint {
+                u64::from(ctx.node.0 % 5) + 2
+            } else {
+                ctx.round + 1
+            }
+        }
+    }
+
+    fn counter_series(events: &[telemetry::Event], name: &str) -> Vec<i64> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                telemetry::Event::Round { counters, .. } => {
+                    counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sleeping_nodes_are_counted_as_live_and_charged_their_messages() {
+        use telemetry::RecordingSink;
+
+        let g = graphgen::generators::gnp(40, 0.2, 9);
+        let run = |hint: bool, threads: usize| {
+            let sink = std::sync::Arc::new(RecordingSink::new());
+            let hub = std::sync::Arc::new(telemetry::MetricsHub::new());
+            let run = Executor::new(&g)
+                .with_threads(threads)
+                .with_probe(Probe::new(sink.clone()).with_metrics(hub.clone()))
+                .run(&Nap { hint }, 10)
+                .unwrap();
+            let live_peak = hub.watermark("exec.live_peak").get();
+            (run.outputs, run.rounds, sink.events(), live_peak)
+        };
+        let (outputs, rounds, events, live_peak) = run(false, 1);
+        assert_eq!((rounds, live_peak), (6, 40));
+        for threads in [1, 2, 3] {
+            let (h_outputs, h_rounds, h_events, h_live_peak) = run(true, threads);
+            assert_eq!(h_live_peak, live_peak, "threads={threads}");
+            assert_eq!(h_outputs, outputs, "threads={threads}");
+            assert_eq!(h_rounds, rounds, "threads={threads}");
+            for name in ["live_nodes", "messages_sent", "halted"] {
+                assert_eq!(
+                    counter_series(&h_events, name),
+                    counter_series(&events, name),
+                    "{name}, threads={threads}"
+                );
+            }
+            assert_eq!(h_events, events, "threads={threads}");
+        }
+        // The degree sum is charged in every round a node is live, asleep
+        // or not: round 1 charges every edge endpoint.
+        assert_eq!(
+            counter_series(&events, "messages_sent")[0],
+            2 * g.m() as i64
+        );
+    }
+
+    #[test]
+    fn round_limit_counts_sleeping_nodes_as_still_running() {
+        let g = graphgen::generators::gnp(40, 0.2, 9);
+        // After 3 rounds the nodes with v % 5 >= 2 are still running —
+        // asleep under the hint.
+        let running = (0..40).filter(|v| v % 5 >= 2).count();
+        for hint in [false, true] {
+            for threads in [1, 2] {
+                let err = Executor::new(&g)
+                    .with_threads(threads)
+                    .run(&Nap { hint }, 3)
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    SimError::RoundLimitExceeded {
+                        limit: 3,
+                        still_running: running
+                    },
+                    "hint={hint}, threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crashing_a_would_be_sleeper_fails_like_the_unhinted_run() {
+        use telemetry::RecordingSink;
+
+        let g = graphgen::generators::gnp(40, 0.2, 9);
+        // Node 4 would sleep from round 1 to round 6; it crashes in round 3.
+        let plan: FaultPlan = "seed=1,crash=4@3".parse().unwrap();
+        let run = |hint: bool| {
+            let sink = std::sync::Arc::new(RecordingSink::new());
+            let err = Executor::new(&g)
+                .with_faults(plan.clone())
+                .with_probe(Probe::new(sink.clone()))
+                .run(&Nap { hint }, 10)
+                .unwrap_err();
+            (err, sink.events())
+        };
+        let (err, events) = run(false);
+        assert_eq!(
+            err,
+            SimError::Crashed {
+                crashed: 1,
+                rounds: 6
+            }
+        );
+        assert_eq!(run(true), (err, events));
     }
 
     #[test]

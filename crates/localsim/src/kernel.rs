@@ -107,6 +107,9 @@ pub(crate) struct Round<'a, A, F> {
     pub node_ctx: &'a F,
     /// The fault plan, when bounded-asynchrony stalls are on.
     pub stalls: Option<&'a FaultPlan>,
+    /// Whether a continuing node may sleep until its
+    /// [`LocalAlgorithm::wake`] round instead of staying live.
+    pub sleep: bool,
 }
 
 /// The write side of one [`step_range`] call: node `v` writes
@@ -117,11 +120,13 @@ pub(crate) struct Window<'a, S, O> {
     pub outputs: &'a mut [Option<O>],
 }
 
-/// Scratch a caller reuses across calls: the neighbor-state buffer and
-/// the survivor list, which [`step_range`] appends to in `live` order.
+/// Scratch a caller reuses across calls: the neighbor-state buffer, the
+/// survivor list and the `(wake round, node)` sleeper list, which
+/// [`step_range`] appends to in `live` order.
 pub(crate) struct Scratch<S> {
     pub nbr_buf: Vec<S>,
     pub survivors: Vec<NodeId>,
+    pub sleepers: Vec<(u64, NodeId)>,
 }
 
 impl<S> Scratch<S> {
@@ -129,6 +134,7 @@ impl<S> Scratch<S> {
         Scratch {
             nbr_buf: Vec::with_capacity(max_degree),
             survivors: Vec::new(),
+            sleepers: Vec::new(),
         }
     }
 }
@@ -138,8 +144,10 @@ impl<S> Scratch<S> {
 ///
 /// A stalled node keeps its state and stays live; a continuing node
 /// writes its new state, calls `on_continue(v, old, new)` and stays
-/// live; a halting node writes its output and freezes its old state in
-/// the write buffer, so both buffers agree on it from then on.
+/// live — or, under `rnd.sleep` with a wake round past the next one,
+/// goes to the sleeper list instead; a halting node writes its output
+/// and freezes its old state in the write buffer, so both buffers agree
+/// on it from then on.
 pub(crate) fn step_range<'g, A, F, V, H>(
     rnd: &Round<'_, A, F>,
     live: &[NodeId],
@@ -156,7 +164,11 @@ where
     H: FnMut(NodeId, &A::State, &A::State),
 {
     let Window { lo, nxt, outputs } = win;
-    let Scratch { nbr_buf, survivors } = scratch;
+    let Scratch {
+        nbr_buf,
+        survivors,
+        sleepers,
+    } = scratch;
     let number = rnd.number;
     let mut counts = StepCounts::default();
     let mut visit = |v: NodeId, stalled: bool| {
@@ -174,8 +186,17 @@ where
         match rnd.algo.step(&ctx, &cur[vi], nbr_buf) {
             Transition::Continue(s) => {
                 on_continue(v, &cur[vi], &s);
+                let wake = if rnd.sleep {
+                    rnd.algo.wake(&ctx, &s)
+                } else {
+                    0
+                };
                 nxt[vi - lo] = s;
-                survivors.push(v);
+                if wake > number + 1 {
+                    sleepers.push((wake, v));
+                } else {
+                    survivors.push(v);
+                }
             }
             Transition::Halt(o) => {
                 outputs[vi - lo] = Some(o);

@@ -402,6 +402,7 @@ impl ShardState {
             number: round,
             node_ctx: &node_ctx,
             stalls: self.jitter_on.then_some(&self.plan),
+            sleep: false,
         };
         let win = Window {
             lo: self.start,

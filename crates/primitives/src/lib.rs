@@ -42,6 +42,8 @@ pub mod mis;
 pub mod netdecomp;
 pub mod ruling;
 pub mod split;
+#[cfg(test)]
+mod wake_tests;
 
 /// Output of a primitive: the result plus the LOCAL rounds it took.
 #[derive(Debug, Clone, PartialEq, Eq)]

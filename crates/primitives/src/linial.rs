@@ -189,7 +189,7 @@ pub fn linial_coloring_probed(
 
 /// One round of the Kuhn–Wattenhofer reduction schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KwRound {
+pub(crate) enum KwRound {
     /// Nodes whose color is `≡ class (mod modulus)` recolor to the smallest
     /// free color in their block's first `width` slots.
     Sweep {
@@ -201,7 +201,7 @@ enum KwRound {
     Remap { modulus: u64, width: u64 },
 }
 
-fn kw_schedule(mut k: u64, t: u64) -> Vec<KwRound> {
+pub(crate) fn kw_schedule(mut k: u64, t: u64) -> Vec<KwRound> {
     let mut rounds = Vec::new();
     while k > 2 * t {
         let two_t = 2 * t;
@@ -228,11 +228,33 @@ fn kw_schedule(mut k: u64, t: u64) -> Vec<KwRound> {
     rounds
 }
 
-struct KwAlgo {
+pub(crate) struct KwAlgo {
     rounds: Vec<KwRound>,
+    /// `(first, end)` round indices of each level: its sweeps from the
+    /// highest class down, then its `Remap` (the last level ends with
+    /// the schedule's last round instead).
+    levels: Vec<(usize, usize)>,
     /// Initial proper coloring (KW needs properness, not uniqueness, so it
     /// cannot ride on the executor's uid mechanism).
     init_colors: Vec<u64>,
+}
+
+impl KwAlgo {
+    pub(crate) fn new(rounds: Vec<KwRound>, init_colors: Vec<u64>) -> Self {
+        let mut levels = Vec::new();
+        let mut first = 0;
+        for (i, round) in rounds.iter().enumerate() {
+            if matches!(round, KwRound::Remap { .. }) || i + 1 == rounds.len() {
+                levels.push((first, i + 1));
+                first = i + 1;
+            }
+        }
+        KwAlgo {
+            rounds,
+            levels,
+            init_colors,
+        }
+    }
 }
 
 impl LocalAlgorithm for KwAlgo {
@@ -290,6 +312,33 @@ impl LocalAlgorithm for KwAlgo {
         } else {
             Transition::Continue(c)
         }
+    }
+
+    /// A node next acts in its class's sweep of the current level, or
+    /// else in the level's last round (its `Remap`, or the schedule's
+    /// halting round); every round in between leaves its color alone.
+    fn wake(&self, ctx: &NodeCtx, c: &u64) -> u64 {
+        // The next round's 0-based index. The first level starts at 0,
+        // so at least one level qualifies.
+        let next = ctx.round as usize;
+        let level = self.levels.partition_point(|&(first, _)| first <= next);
+        let (first, end) = self.levels[level - 1];
+        let mut act = end - 1;
+        if let KwRound::Sweep {
+            modulus,
+            class: top,
+            width,
+        } = self.rounds[first]
+        {
+            let residue = if modulus == u64::MAX { *c } else { c % modulus };
+            if (width..=top).contains(&residue) {
+                let sweep = first + (top - residue) as usize;
+                if sweep >= next {
+                    act = sweep;
+                }
+            }
+        }
+        act as u64 + 1
     }
 }
 
@@ -360,10 +409,7 @@ pub fn reduce_coloring_probed(
     }
     let rounds = kw_schedule(space, target);
     let budget = rounds.len() as u64 + 1;
-    let algo = KwAlgo {
-        rounds,
-        init_colors: colors,
-    };
+    let algo = KwAlgo::new(rounds, colors);
     let run = Executor::new(g)
         .with_threads(localsim::default_threads())
         .with_probe(probe.clone())
@@ -416,10 +462,7 @@ pub fn delta_plus_one_coloring_probed(
     }
     let rounds = kw_schedule(space, t);
     let budget = rounds.len() as u64 + 1;
-    let algo = KwAlgo {
-        rounds,
-        init_colors: colors,
-    };
+    let algo = KwAlgo::new(rounds, colors);
     let run = Executor::new(g)
         .with_threads(localsim::default_threads())
         .with_probe(probe.clone())

@@ -55,7 +55,7 @@ impl From<SimError> for ListColoringError {
     }
 }
 
-struct SweepAlgo {
+pub(crate) struct SweepAlgo {
     schedule: Vec<u32>,        // helper color per node
     palettes: Vec<Vec<Color>>, // palette per node
     /// Per node: `(color value, palette index)` sorted by color, so a
@@ -63,6 +63,28 @@ struct SweepAlgo {
     /// `O(log |palette|)` instead of a linear `contains` per candidate.
     palette_luts: Vec<Vec<(u32, u32)>>,
     classes: u32, // number of helper classes
+}
+
+impl SweepAlgo {
+    /// The sweep over the `classes` helper classes of `schedule` (one
+    /// class per node), coloring each node from its palette.
+    pub(crate) fn new(schedule: Vec<u32>, palettes: &[Vec<Color>], classes: u32) -> Self {
+        let palette_luts = palettes
+            .iter()
+            .map(|p| {
+                let mut lut: Vec<(u32, u32)> =
+                    p.iter().enumerate().map(|(i, c)| (c.0, i as u32)).collect();
+                lut.sort_unstable();
+                lut
+            })
+            .collect();
+        SweepAlgo {
+            schedule,
+            palettes: palettes.to_vec(),
+            palette_luts,
+            classes,
+        }
+    }
 }
 
 /// State: `None` while waiting, `Some(color)` once colored.
@@ -121,6 +143,15 @@ impl LocalAlgorithm for SweepAlgo {
             Transition::Continue(*state)
         } else {
             Transition::Continue(None)
+        }
+    }
+
+    /// An uncolored node idles until its class's round; a node that just
+    /// colored itself halts in the next round.
+    fn wake(&self, ctx: &NodeCtx, next: &Option<Color>) -> u64 {
+        match next {
+            None => (u64::from(self.schedule[ctx.node.index()]) + 1).max(ctx.round + 1),
+            Some(_) => ctx.round + 1,
         }
     }
 }
@@ -188,21 +219,7 @@ pub fn deg_plus_one_list_color_probed(
         .vertices()
         .map(|v| helper.value.get(v).expect("helper coloring is complete").0)
         .collect();
-    let palette_luts = palettes
-        .iter()
-        .map(|p| {
-            let mut lut: Vec<(u32, u32)> =
-                p.iter().enumerate().map(|(i, c)| (c.0, i as u32)).collect();
-            lut.sort_unstable();
-            lut
-        })
-        .collect();
-    let algo = SweepAlgo {
-        schedule,
-        palettes: palettes.to_vec(),
-        palette_luts,
-        classes,
-    };
+    let algo = SweepAlgo::new(schedule, palettes, classes);
     let run = Executor::new(h)
         .with_threads(localsim::default_threads())
         .with_probe(probe.clone())

@@ -1,0 +1,179 @@
+//! The `wake` hints of the Kuhn–Wattenhofer reduction and the list
+//! coloring sweep, checked against the same algorithms with the hint
+//! stripped: outputs, rounds and per-round telemetry must be identical at
+//! every thread count.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use graphgen::generators::{self, HardCliqueParams};
+use graphgen::{Color, Graph};
+use localsim::{Event, Executor, LocalAlgorithm, NodeCtx, Probe, RecordingSink, Transition};
+
+use crate::linial::{kw_schedule, linial_coloring, KwAlgo};
+use crate::list_coloring::SweepAlgo;
+
+/// Forwards `init` and `step` and keeps the default `wake`, so every
+/// live node is stepped every round.
+struct NoWake<A>(A);
+
+impl<A: LocalAlgorithm> LocalAlgorithm for NoWake<A> {
+    type State = A::State;
+    type Output = A::Output;
+
+    fn init(&self, ctx: &NodeCtx) -> A::State {
+        self.0.init(ctx)
+    }
+
+    fn step(
+        &self,
+        ctx: &NodeCtx,
+        state: &A::State,
+        nbrs: &[A::State],
+    ) -> Transition<A::State, A::Output> {
+        self.0.step(ctx, state, nbrs)
+    }
+}
+
+/// Forwards all three methods and counts `step` calls.
+struct Counted<A> {
+    inner: A,
+    steps: AtomicU64,
+}
+
+impl<A: LocalAlgorithm> LocalAlgorithm for Counted<A> {
+    type State = A::State;
+    type Output = A::Output;
+
+    fn init(&self, ctx: &NodeCtx) -> A::State {
+        self.inner.init(ctx)
+    }
+
+    fn step(
+        &self,
+        ctx: &NodeCtx,
+        state: &A::State,
+        nbrs: &[A::State],
+    ) -> Transition<A::State, A::Output> {
+        self.steps.fetch_add(1, Ordering::Relaxed);
+        self.inner.step(ctx, state, nbrs)
+    }
+
+    fn wake(&self, ctx: &NodeCtx, next: &A::State) -> u64 {
+        self.inner.wake(ctx, next)
+    }
+}
+
+fn graphs() -> Vec<(&'static str, Graph)> {
+    vec![
+        ("cycle", generators::cycle(64)),
+        ("complete", generators::complete(9)),
+        ("hypercube", generators::hypercube(5)),
+        ("random_regular", generators::random_regular(120, 6, 3)),
+        ("gnp", generators::gnp(150, 0.06, 7)),
+        (
+            "hard_cliques",
+            generators::hard_cliques(&HardCliqueParams {
+                cliques: 34,
+                delta: 16,
+                external_per_vertex: 1,
+                seed: 4,
+            })
+            .unwrap()
+            .graph,
+        ),
+    ]
+}
+
+/// Runs `algo` to completion and returns its outputs, rounds and events.
+fn run<A>(g: &Graph, algo: &A, budget: u64, threads: usize) -> (Vec<A::Output>, u64, Vec<Event>)
+where
+    A: LocalAlgorithm + Sync,
+    A::State: Send + Sync,
+    A::Output: Send,
+{
+    let sink = Arc::new(RecordingSink::new());
+    let run = Executor::new(g)
+        .with_threads(threads)
+        .with_probe(Probe::new(sink.clone()))
+        .run(algo, budget)
+        .unwrap();
+    (run.outputs, run.rounds, sink.events())
+}
+
+/// Asserts that `make()` runs identically with and without its hint at
+/// 1, 2 and 4 threads, and that the hint spared some steps.
+fn assert_hint_is_invisible<A, F>(name: &str, g: &Graph, budget: u64, make: F)
+where
+    A: LocalAlgorithm + Sync,
+    A::State: Send + Sync,
+    A::Output: Send + PartialEq + std::fmt::Debug,
+    F: Fn() -> A,
+{
+    let counted = || Counted {
+        inner: make(),
+        steps: AtomicU64::new(0),
+    };
+    let unhinted = NoWake(counted());
+    let reference = run(g, &unhinted, budget, 1);
+    for threads in [1, 2, 4] {
+        let algo = counted();
+        let hinted = run(g, &algo, budget, threads);
+        assert_eq!(hinted.0, reference.0, "{name}: outputs, {threads} threads");
+        assert_eq!(hinted.1, reference.1, "{name}: rounds, {threads} threads");
+        assert_eq!(hinted.2, reference.2, "{name}: events, {threads} threads");
+        let (stepped, all) = (
+            algo.steps.into_inner(),
+            unhinted.0.steps.load(Ordering::Relaxed),
+        );
+        assert!(
+            stepped < all,
+            "{name}: {stepped} of {all} steps taken with the hint"
+        );
+    }
+}
+
+#[test]
+fn kw_reduction_runs_the_same_with_and_without_its_wake_hint() {
+    for (name, g) in graphs() {
+        let target = g.max_degree() as u64 + 1;
+        // Linial's output (the pipeline's input) and the index coloring
+        // (a long multi-level schedule).
+        let (linial, space) = linial_coloring(&g, None).unwrap().value;
+        let index: Vec<u64> = (0..g.n() as u64).collect();
+        for (start, space) in [(linial, space), (index, g.n() as u64)] {
+            if space <= target {
+                continue;
+            }
+            let rounds = kw_schedule(space, target);
+            let budget = rounds.len() as u64 + 1;
+            assert_hint_is_invisible(name, &g, budget, || {
+                KwAlgo::new(rounds.clone(), start.clone())
+            });
+        }
+    }
+}
+
+#[test]
+fn list_coloring_sweep_runs_the_same_with_and_without_its_wake_hint() {
+    for (name, g) in graphs() {
+        let helper = crate::linial::delta_plus_one_coloring(&g, None)
+            .unwrap()
+            .value;
+        let schedule: Vec<u32> = g.vertices().map(|v| helper.get(v).unwrap().0).collect();
+        let classes = g.max_degree() as u32 + 1;
+        // Uneven palettes: deg + 1 to deg + 3 colors, odd or even by node.
+        let palettes: Vec<Vec<Color>> = g
+            .vertices()
+            .map(|v| {
+                let size = g.degree(v) + 1 + v.index() % 3;
+                (0..size)
+                    .map(|i| Color((2 * i + v.index() % 2) as u32))
+                    .collect()
+            })
+            .collect();
+        assert_hint_is_invisible(name, &g, u64::from(classes) + 1, || {
+            SweepAlgo::new(schedule.clone(), &palettes, classes)
+        });
+    }
+}
