@@ -221,8 +221,8 @@ fn friend_graph_blocked(g: &Graph, friend_threshold: usize) -> (Vec<usize>, Vec<
 }
 
 /// The friend graph via per-edge sorted-merge intersections — the
-/// original kernel, kept as the oracle [`compute_acd_reference`] and the
-/// pipeline bench assert the blocked bitmap kernel against.
+/// original kernel, kept as the oracle [`compute_acd_reference`] that the
+/// tests assert the blocked bitmap kernel against.
 fn friend_graph_merge(g: &Graph, friend_threshold: usize) -> (Vec<usize>, Vec<Vec<NodeId>>) {
     let n = g.n();
     let mut friend_count = vec![0usize; n];
@@ -252,35 +252,11 @@ pub fn compute_acd(g: &Graph, params: &AcdParams) -> AcdResult {
 
 /// [`compute_acd`] with the original per-edge sorted-merge similarity
 /// kernel. Bit-identical output to `compute_acd` by construction (same
-/// friend-edge set and order); exists so benches and tests can assert
-/// exactly that, and as a baseline for kernel timing.
+/// friend-edge set and order); exists so tests can assert exactly that.
 pub fn compute_acd_reference(g: &Graph, params: &AcdParams) -> AcdResult {
     let (friend_threshold, dense_threshold) = similarity_thresholds(g, params);
     let (friend_count, friend_adj) = friend_graph_merge(g, friend_threshold);
     finish_acd(g, params, dense_threshold, &friend_count, &friend_adj)
-}
-
-/// The isolated friend-graph kernels, exposed so the pipeline bench can
-/// time the similarity computation without the postprocessing both
-/// [`compute_acd`] variants share. Not part of the stable API.
-#[doc(hidden)]
-pub mod kernel {
-    use super::{friend_graph_blocked, friend_graph_merge, similarity_thresholds, AcdParams};
-    use graphgen::{Graph, NodeId};
-
-    /// `(friend_count, friend_adj)` via the blocked bitmap kernel.
-    #[must_use]
-    pub fn friend_graph(g: &Graph, params: &AcdParams) -> (Vec<usize>, Vec<Vec<NodeId>>) {
-        let (friend_threshold, _) = similarity_thresholds(g, params);
-        friend_graph_blocked(g, friend_threshold)
-    }
-
-    /// `(friend_count, friend_adj)` via the per-edge sorted-merge kernel.
-    #[must_use]
-    pub fn friend_graph_reference(g: &Graph, params: &AcdParams) -> (Vec<usize>, Vec<Vec<NodeId>>) {
-        let (friend_threshold, _) = similarity_thresholds(g, params);
-        friend_graph_merge(g, friend_threshold)
-    }
 }
 
 /// Everything after the friend graph: dense classification, friend
@@ -677,8 +653,23 @@ mod tests {
         })
         .unwrap()
         .graph;
+        let circulant = |cliques, delta| {
+            generators::hard_cliques_with_blueprint(
+                &generators::HardCliqueParams {
+                    cliques,
+                    delta,
+                    external_per_vertex: 1,
+                    seed: 7,
+                },
+                generators::BlueprintKind::Circulant,
+            )
+            .unwrap()
+            .graph
+        };
         for (g, delta) in [
             (hard, 16),
+            (circulant(40, 16), 16),
+            (circulant(136, 63), 63),
             (generators::gnp(200, 0.05, 9), 12),
             (generators::gnp(150, 0.2, 3), 32),
             (generators::random_tree(50, 4), 4),

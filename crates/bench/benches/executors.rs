@@ -8,11 +8,7 @@
 //!
 //! Variants per (topology, executor):
 //!
-//! * `legacy` — a faithful re-implementation of the pre-arena loops
-//!   (per-round full-state clone / per-round nested inbox allocation +
-//!   per-message binary-search port lookup), so before/after is measured
-//!   on the same machine at the same commit;
-//! * `seq` — the current allocation-free double-buffered loop;
+//! * `seq` — the allocation-free double-buffered loop;
 //! * `par2`/`par4` — the deterministic parallel stepping path.
 //!
 //! Usage (a harness-free bench binary):
@@ -23,15 +19,14 @@
 //! cargo bench -p delta-bench --bench executors -- --smoke --json out.json  # CI: small sizes
 //! ```
 //!
-//! The JSON report (`BENCH_executors.json`) carries every measured case
-//! plus per-(topology, executor) `legacy_mean_ns / seq_mean_ns` speedups;
+//! The JSON report (`BENCH_executors.json`) carries every measured case;
 //! see `docs/PERFORMANCE.md` for the schema and how to read it.
 
-use criterion::{black_box, measure, Measurement};
-use graphgen::{generators, Graph, NodeId};
+use criterion::{measure, Measurement};
+use graphgen::{generators, Graph};
 use localsim::{
     broadcast, CongestExecutor, Executor, LocalAlgorithm, MessageExecutor, MessageProgram,
-    MsgTransition, NodeCtx, Outgoing, RunResult, SimError, Transition,
+    MsgTransition, NodeCtx, Outgoing, Transition,
 };
 use serde::{json, Value};
 
@@ -102,185 +97,6 @@ fn msg_width(m: &u64) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy executors: the pre-arena loops, reproduced from the seed so the
-// "before" side of the comparison is measured live on the same hardware.
-
-/// Pre-PR state-exchange loop: clones all `n` states every round and
-/// scans every vertex (halted included).
-fn legacy_state_run<A: LocalAlgorithm>(
-    graph: &Graph,
-    algo: &A,
-    max_rounds: u64,
-) -> Result<RunResult<A::Output>, SimError> {
-    let n = graph.n();
-    let ctx = |v: NodeId, round: u64| NodeCtx {
-        node: v,
-        uid: u64::from(v.0),
-        neighbors: graph.neighbors(v),
-        round,
-        n: graph.n(),
-        max_degree: graph.max_degree(),
-    };
-    let mut states: Vec<A::State> = graph.vertices().map(|v| algo.init(&ctx(v, 0))).collect();
-    let mut outputs: Vec<Option<A::Output>> = (0..n).map(|_| None).collect();
-    let mut live = n;
-    let mut rounds = 0;
-    while live > 0 {
-        if rounds >= max_rounds {
-            return Err(SimError::RoundLimitExceeded {
-                limit: max_rounds,
-                still_running: live,
-            });
-        }
-        rounds += 1;
-        let mut next_states = states.clone();
-        let mut nbr_buf: Vec<A::State> = Vec::new();
-        for v in graph.vertices() {
-            if outputs[v.index()].is_some() {
-                continue;
-            }
-            nbr_buf.clear();
-            nbr_buf.extend(graph.neighbors(v).iter().map(|w| states[w.index()].clone()));
-            match algo.step(&ctx(v, rounds), &states[v.index()], &nbr_buf) {
-                Transition::Continue(s) => next_states[v.index()] = s,
-                Transition::Halt(o) => {
-                    outputs[v.index()] = Some(o);
-                    live -= 1;
-                }
-            }
-        }
-        states = next_states;
-    }
-    Ok(RunResult {
-        outputs: outputs.into_iter().map(|o| o.unwrap()).collect(),
-        rounds,
-    })
-}
-
-/// Pre-PR message loop: allocates a fresh `Vec<Vec<Option<Msg>>>` inbox
-/// set every round and binary-searches the receiving port per message.
-fn legacy_msg_run<P: MessageProgram>(
-    graph: &Graph,
-    prog: &P,
-    max_rounds: u64,
-) -> Result<RunResult<P::Output>, SimError> {
-    let n = graph.n();
-    let ctx = |v: NodeId, round: u64| NodeCtx {
-        node: v,
-        uid: u64::from(v.0),
-        neighbors: graph.neighbors(v),
-        round,
-        n: graph.n(),
-        max_degree: graph.max_degree(),
-    };
-    let deliver =
-        |inboxes: &mut Vec<Vec<Option<P::Msg>>>, v: NodeId, outs: Vec<Outgoing<P::Msg>>| {
-            for out in outs {
-                let w = graph.neighbors(v)[out.port];
-                let back = graph
-                    .neighbors(w)
-                    .binary_search(&v)
-                    .expect("v is a neighbor of w");
-                inboxes[w.index()][back] = Some(out.msg);
-            }
-        };
-    let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
-    let mut inboxes: Vec<Vec<Option<P::Msg>>> = graph
-        .vertices()
-        .map(|v| vec![None; graph.degree(v)])
-        .collect();
-    let mut states: Vec<P::State> = Vec::with_capacity(n);
-    {
-        let mut first_outs = Vec::with_capacity(n);
-        for v in graph.vertices() {
-            let (st, outs) = prog.init(&ctx(v, 0));
-            states.push(st);
-            first_outs.push(outs);
-        }
-        for (v, outs) in graph.vertices().zip(first_outs) {
-            deliver(&mut inboxes, v, outs);
-        }
-    }
-    let mut live = n;
-    let mut rounds = 0u64;
-    while live > 0 {
-        if rounds >= max_rounds {
-            return Err(SimError::RoundLimitExceeded {
-                limit: max_rounds,
-                still_running: live,
-            });
-        }
-        rounds += 1;
-        let mut next: Vec<Vec<Option<P::Msg>>> = graph
-            .vertices()
-            .map(|v| vec![None; graph.degree(v)])
-            .collect();
-        for v in graph.vertices() {
-            if outputs[v.index()].is_some() {
-                continue;
-            }
-            match prog.step(&ctx(v, rounds), &mut states[v.index()], &inboxes[v.index()]) {
-                MsgTransition::Continue(outs) => deliver(&mut next, v, outs),
-                MsgTransition::HaltAfter(outs, o) => {
-                    deliver(&mut next, v, outs);
-                    outputs[v.index()] = Some(o);
-                    live -= 1;
-                }
-            }
-        }
-        inboxes = next;
-    }
-    Ok(RunResult {
-        outputs: outputs.into_iter().map(|o| o.unwrap()).collect(),
-        rounds,
-    })
-}
-
-/// Pre-PR congest metering: the legacy message loop plus a per-message
-/// width/bucket accounting pass through interior mutability.
-struct LegacyMetered<'p, P, F> {
-    inner: &'p P,
-    size_of: F,
-    stats: std::cell::RefCell<(usize, u64)>, // (max_bits, total_bits)
-}
-
-impl<P: MessageProgram, F: Fn(&P::Msg) -> usize> LegacyMetered<'_, P, F> {
-    fn meter(&self, outs: &[Outgoing<P::Msg>]) {
-        let mut stats = self.stats.borrow_mut();
-        for o in outs {
-            let bits = (self.size_of)(&o.msg);
-            stats.0 = stats.0.max(bits);
-            stats.1 += bits as u64;
-        }
-    }
-}
-
-impl<P: MessageProgram, F: Fn(&P::Msg) -> usize> MessageProgram for LegacyMetered<'_, P, F> {
-    type State = P::State;
-    type Msg = P::Msg;
-    type Output = P::Output;
-
-    fn init(&self, ctx: &NodeCtx) -> (Self::State, Vec<Outgoing<Self::Msg>>) {
-        let (st, outs) = self.inner.init(ctx);
-        self.meter(&outs);
-        (st, outs)
-    }
-
-    fn step(
-        &self,
-        ctx: &NodeCtx,
-        state: &mut Self::State,
-        inbox: &[Option<Self::Msg>],
-    ) -> MsgTransition<Self::Msg, Self::Output> {
-        let t = self.inner.step(ctx, state, inbox);
-        match &t {
-            MsgTransition::Continue(outs) | MsgTransition::HaltAfter(outs, _) => self.meter(outs),
-        }
-        t
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The matrix.
 
 struct Case {
@@ -346,13 +162,6 @@ fn main() {
         let algo = StateFlood { t: *t };
         push(
             "state",
-            "legacy",
-            measure(test_mode, samples, |b| {
-                b.iter(|| legacy_state_run(g, &algo, budget).unwrap())
-            }),
-        );
-        push(
-            "state",
             "seq",
             measure(test_mode, samples, |b| {
                 b.iter(|| Executor::new(g).run(&algo, budget).unwrap())
@@ -370,13 +179,6 @@ fn main() {
 
         // Per-port message executor.
         let prog = MsgFlood { t: *t };
-        push(
-            "message",
-            "legacy",
-            measure(test_mode, samples, |b| {
-                b.iter(|| legacy_msg_run(g, &prog, budget).unwrap())
-            }),
-        );
         push(
             "message",
             "seq",
@@ -400,22 +202,6 @@ fn main() {
         }
 
         // CONGEST metering on top of the message executor.
-        push(
-            "congest",
-            "legacy",
-            measure(test_mode, samples, |b| {
-                b.iter(|| {
-                    let metered = LegacyMetered {
-                        inner: &prog,
-                        size_of: msg_width,
-                        stats: std::cell::RefCell::new((0, 0)),
-                    };
-                    let run = legacy_msg_run(g, &metered, budget).unwrap();
-                    black_box(metered.stats.into_inner());
-                    run
-                })
-            }),
-        );
         push(
             "congest",
             "seq",
@@ -443,27 +229,6 @@ fn main() {
         }
     }
 
-    // Per-(topology, executor) speedup of the new sequential loop over the
-    // pre-PR loop — the acceptance metric for this bench.
-    let mut speedups: Vec<(String, usize, f64)> = Vec::new();
-    for (topology, g, _) in &topologies {
-        for executor in ["state", "message", "congest"] {
-            let mean_of = |variant: &str| {
-                cases
-                    .iter()
-                    .find(|c| {
-                        c.topology == *topology && c.executor == executor && c.variant == variant
-                    })
-                    .map(|c| c.m.mean_ns)
-            };
-            if let (Some(legacy), Some(seq)) = (mean_of("legacy"), mean_of("seq")) {
-                let s = legacy / seq;
-                println!("executors/{topology}/{executor}: legacy/seq speedup {s:.2}x");
-                speedups.push((format!("{topology}/{executor}"), g.n(), s));
-            }
-        }
-    }
-
     if let Some(path) = json_path {
         let report = Value::Map(vec![
             (
@@ -488,21 +253,6 @@ fn main() {
                                 ("variant".to_string(), Value::Str(c.variant.to_string())),
                                 ("mean_ns".to_string(), Value::F64(c.m.mean_ns)),
                                 ("min_ns".to_string(), Value::F64(c.m.min_ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "legacy_over_seq_speedups".to_string(),
-                Value::Seq(
-                    speedups
-                        .iter()
-                        .map(|(key, n, s)| {
-                            Value::Map(vec![
-                                ("case".to_string(), Value::Str(key.clone())),
-                                ("n".to_string(), Value::U64(*n as u64)),
-                                ("speedup".to_string(), Value::F64(*s)),
                             ])
                         })
                         .collect(),

@@ -2,23 +2,19 @@
 //! regressions.
 //!
 //! ```text
-//! benchdiff BENCH_pipeline.json new_pipeline.json
-//! benchdiff --threshold 25 --metric min_ns base.json cand.json
-//! benchdiff baseline-metrics.json candidate-metrics.json
-//! benchdiff --filter topo=clique,exec=state base.json cand.json
-//! benchdiff --summary base.json cand.json
-//! benchdiff --ratio par4:seq BENCH_executors.json
+//! benchdiff ci/baselines/BENCH_executors.smoke.json BENCH_executors.json
+//! benchdiff --threshold 0 ci/baselines/metrics.smoke.json metrics.json
+//! benchdiff --threshold 200 --summary base.json cand.json
 //! ```
 //!
 //! Understands both report families this workspace writes:
 //!
-//! - **Bench reports** (`BENCH_*.json`, written by the `--json` flag of
-//!   the executors/pipeline/supervisor benches): every object inside a
-//!   sequence that carries a `mean_ns` field is a case; its key is the
-//!   containing field plus the identifying scalar fields
-//!   (`cases/topology=clique,n=2000,executor=msg,variant=seq`). The
-//!   compared value is `--metric` (`mean_ns` by default, or `min_ns`,
-//!   which is less noisy on shared machines).
+//! - **Bench reports** (`BENCH_executors.json`, written by the `--json`
+//!   flag of the executors bench): every object inside a sequence that
+//!   carries a `mean_ns` field is a case; its key is the containing
+//!   field plus the identifying scalar fields
+//!   (`cases/topology=clique,n=2000,executor=message,variant=seq`), and
+//!   its value is `mean_ns`.
 //! - **Metrics snapshots** (written by `delta-color --metrics-out`):
 //!   counters, watermarks, and `worker_units_total` are compared by
 //!   name. Timing metrics (names ending `_ns`) and the per-worker lane
@@ -34,61 +30,18 @@
 //! differ between smoke and full mode, and new cases must not fail the
 //! gate that introduces them.
 //!
-//! Selection and presentation:
-//!
-//! - `--filter K=V[,K=V...]` keeps only cases whose identity carries
-//!   every `K=V` component. `topo` aliases `topology` and `exec`
-//!   aliases `executor`, matching the bench CLI's own flag names.
-//! - `--summary` collapses the per-case table to one line (count,
-//!   regressions, worst ratio) — for CI logs and commit messages.
-//! - `--ratio A:B <report.json>` is a **single-file** mode: each case
-//!   with `variant=A` is divided by its `variant=B` twin (identical
-//!   identity otherwise), answering "what is par4 / seq right now?"
-//!   per case plus as a geometric mean. Informational: always exits
-//!   `0` when at least one pair exists (`2` when none does), so CI can
-//!   print the parallel speedup without gating on machine core count.
-//!   Pairs where either side measured `0` (smoke mode can round a
-//!   sub-resolution case down to `min_ns == 0`) are listed as
-//!   "incomparable" and excluded from the geometric mean instead of
-//!   poisoning it with `inf`/NaN.
+//! `--summary` collapses the per-case table to one line (count,
+//! regressions, worst ratio) — for CI logs and commit messages.
 
 use std::collections::BTreeMap;
 
 use serde::{json, Value};
 
-const USAGE: &str = "usage: benchdiff [--threshold PCT] [--metric mean_ns|min_ns] \
-                     [--filter K=V[,K=V...]] [--summary] \
-                     <baseline.json> <candidate.json>\n\
-                     \x20      benchdiff --ratio VARIANT_A:VARIANT_B [--filter ...] [--summary] \
-                     <report.json>";
+const USAGE: &str =
+    "usage: benchdiff [--threshold PCT] [--summary] <baseline.json> <candidate.json>";
 
 /// Fields that hold measurements rather than case identity.
-const MEASUREMENT_FIELDS: [&str; 9] = [
-    "mean_ns",
-    "min_ns",
-    "init_bytes",
-    "round_bytes",
-    "total_sent_bytes",
-    "total_recv_bytes",
-    "ghost_updates",
-    "ghost_suppressed",
-    "rounds",
-];
-
-/// What `--metric bytes` expands to: every deterministic wire-traffic
-/// field the shard bench records, plus the round count (byte figures
-/// are only comparable at equal rounds). Each expands to its own case
-/// key (`...#field`), so one invocation gates the whole series — at
-/// `--threshold 0` any byte-level protocol drift fails the gate.
-const BYTES_FIELDS: [&str; 7] = [
-    "init_bytes",
-    "round_bytes",
-    "total_sent_bytes",
-    "total_recv_bytes",
-    "ghost_updates",
-    "ghost_suppressed",
-    "rounds",
-];
+const MEASUREMENT_FIELDS: [&str; 2] = ["mean_ns", "min_ns"];
 
 fn main() {
     std::process::exit(run(&std::env::args().skip(1).collect::<Vec<_>>()));
@@ -96,10 +49,7 @@ fn main() {
 
 fn run(args: &[String]) -> i32 {
     let mut threshold = 10.0f64;
-    let mut metric = "mean_ns".to_string();
-    let mut filter: Vec<String> = Vec::new();
     let mut summary = false;
-    let mut ratio: Option<(String, String)> = None;
     let mut files: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -111,53 +61,9 @@ fn run(args: &[String]) -> i32 {
                     return 2;
                 }
             },
-            "--metric" => {
-                match it.next() {
-                    Some(m) if m == "bytes" || MEASUREMENT_FIELDS.contains(&m.as_str()) => {
-                        metric = m.clone();
-                    }
-                    _ => {
-                        eprintln!("invalid --metric value (mean_ns, min_ns, a byte field, or bytes)\n{USAGE}");
-                        return 2;
-                    }
-                }
-            }
-            "--filter" => match it.next().map(|v| parse_filter(v)) {
-                Some(Ok(terms)) => filter.extend(terms),
-                _ => {
-                    eprintln!("invalid --filter value (comma-separated K=V terms)\n{USAGE}");
-                    return 2;
-                }
-            },
             "--summary" => summary = true,
-            "--ratio" => match it.next().and_then(|v| v.split_once(':')) {
-                Some((a, b)) if !a.is_empty() && !b.is_empty() => {
-                    ratio = Some((a.to_string(), b.to_string()));
-                }
-                _ => {
-                    eprintln!("invalid --ratio value (expected VARIANT_A:VARIANT_B)\n{USAGE}");
-                    return 2;
-                }
-            },
             _ => files.push(a.clone()),
         }
-    }
-
-    if let Some((num, den)) = ratio {
-        let [path] = files.as_slice() else {
-            eprintln!("--ratio compares variants inside one report\n{USAGE}");
-            return 2;
-        };
-        let report = match load(path) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
-        let mut cases = extract(&report, &metric);
-        cases.retain(|k, _| matches_filter(k, &filter));
-        return run_ratio(&cases, &num, &den, summary);
     }
 
     let [baseline_path, candidate_path] = files.as_slice() else {
@@ -183,27 +89,8 @@ fn run(args: &[String]) -> i32 {
         return 2;
     }
 
-    let mut base_cases = extract(&baseline, &metric);
-    let mut cand_cases = extract(&candidate, &metric);
-    // Distinguish "the series is absent from the report" (pre-filter)
-    // from "the filter matched nothing" (post-filter): the fixes differ.
-    if metric == "bytes" {
-        let mut absent = false;
-        for (role, path, report, cases) in [
-            ("baseline", baseline_path, &baseline, &base_cases),
-            ("candidate", candidate_path, &candidate, &cand_cases),
-        ] {
-            if cases.is_empty() {
-                eprintln!("error: {}", missing_bytes_series(role, path, report));
-                absent = true;
-            }
-        }
-        if absent {
-            return 2;
-        }
-    }
-    base_cases.retain(|k, _| matches_filter(k, &filter));
-    cand_cases.retain(|k, _| matches_filter(k, &filter));
+    let base_cases = extract(&baseline);
+    let cand_cases = extract(&candidate);
     if base_cases.is_empty() || cand_cases.is_empty() {
         eprintln!(
             "error: no comparable cases found ({} in baseline, {} in candidate)",
@@ -264,136 +151,6 @@ fn run(args: &[String]) -> i32 {
     i32::from(regressions > 0)
 }
 
-/// Parses a `--filter` argument: comma-separated `K=V` terms, with the
-/// bench CLI's short key names (`topo`, `exec`) normalized to the field
-/// names reports actually carry.
-fn parse_filter(raw: &str) -> Result<Vec<String>, ()> {
-    raw.split(',')
-        .map(|term| {
-            let (k, v) = term.split_once('=').ok_or(())?;
-            if k.is_empty() || v.is_empty() {
-                return Err(());
-            }
-            let k = match k {
-                "topo" => "topology",
-                "exec" => "executor",
-                other => other,
-            };
-            Ok(format!("{k}={v}"))
-        })
-        .collect()
-}
-
-/// A case key (`cases/topology=clique,n=2000,executor=state,variant=seq`)
-/// matches when every filter term appears among its `K=V` components.
-/// A `#field` suffix (from `--metric bytes` expansion) is not part of
-/// the identity. Metrics-snapshot keys have no components, so any
-/// filter excludes them.
-fn matches_filter(key: &str, terms: &[String]) -> bool {
-    if terms.is_empty() {
-        return true;
-    }
-    let tail = key.rsplit('/').next().unwrap_or(key);
-    let tail = tail.split_once('#').map_or(tail, |(t, _)| t);
-    let components: Vec<&str> = tail.split(',').collect();
-    terms.iter().all(|t| components.contains(&t.as_str()))
-}
-
-/// Case pairs split by whether a ratio is meaningful. Smoke-mode runs of
-/// very fast cases can record `min_ns == 0`; a zero on either side would
-/// print `inf` or push `ln(0) = -inf` into the geometric mean, so those
-/// pairs land in `incomparable` — listed, never averaged.
-struct VariantRatios {
-    /// `(shared identity, num value, den value, num/den)`, in key order.
-    comparable: Vec<(String, f64, f64, f64)>,
-    /// `(shared identity, num value, den value)` where either side is
-    /// zero (or negative, which no well-formed report produces).
-    incomparable: Vec<(String, f64, f64)>,
-}
-
-/// The `variant=num / variant=den` ratio per case pair, in key order.
-fn variant_ratios(cases: &BTreeMap<String, f64>, num: &str, den: &str) -> VariantRatios {
-    let num_term = format!("variant={num}");
-    let den_term = format!("variant={den}");
-    let mut out = VariantRatios {
-        comparable: Vec::new(),
-        incomparable: Vec::new(),
-    };
-    for (key, &a) in cases {
-        if !matches_filter(key, std::slice::from_ref(&num_term)) {
-            continue;
-        }
-        let twin = key.replace(&num_term, &den_term);
-        let Some(&b) = cases.get(&twin) else { continue };
-        let label = strip_variant(key, &num_term);
-        if a <= 0.0 || b <= 0.0 {
-            out.incomparable.push((label, a, b));
-        } else {
-            out.comparable.push((label, a, b, a / b));
-        }
-    }
-    out
-}
-
-/// Drops the `variant=...` component from a case key, leaving the pair's
-/// shared identity.
-fn strip_variant(key: &str, term: &str) -> String {
-    key.split(',')
-        .filter(|c| *c != term)
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn run_ratio(cases: &BTreeMap<String, f64>, num: &str, den: &str, summary: bool) -> i32 {
-    let ratios = variant_ratios(cases, num, den);
-    let pairs = &ratios.comparable;
-    if pairs.is_empty() && ratios.incomparable.is_empty() {
-        eprintln!("error: no case pairs with variant={num} and variant={den}");
-        return 2;
-    }
-    let geomean = if pairs.is_empty() {
-        None
-    } else {
-        Some((pairs.iter().map(|(_, _, _, r)| r.ln()).sum::<f64>() / pairs.len() as f64).exp())
-    };
-    let summary_line = || {
-        let excluded = match ratios.incomparable.len() {
-            0 => String::new(),
-            k => format!(", {k} incomparable pair(s) excluded"),
-        };
-        match geomean {
-            Some(g) => format!(
-                "{num}/{den} geomean {g:.2}x over {} case pair(s){excluded}",
-                pairs.len()
-            ),
-            None => format!("{num}/{den} geomean undefined: 0 comparable case pair(s){excluded}"),
-        }
-    };
-    if summary {
-        println!("{}", summary_line());
-        return 0;
-    }
-    let width = pairs
-        .iter()
-        .map(|(k, ..)| k.len())
-        .chain(ratios.incomparable.iter().map(|(k, ..)| k.len()))
-        .max()
-        .unwrap_or(4)
-        .max(4);
-    println!(
-        "{:width$}  {:>14}  {:>14}  {:>7}",
-        "case", num, den, "ratio"
-    );
-    for (key, a, b, r) in pairs {
-        println!("{key:width$}  {a:>14.0}  {b:>14.0}  {r:>6.2}x");
-    }
-    for (key, a, b) in &ratios.incomparable {
-        println!("{key:width$}  {a:>14.0}  {b:>14.0}  incomparable (zero measurement)");
-    }
-    println!("{}", summary_line());
-    0
-}
-
 fn load(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     json::parse(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))
@@ -429,44 +186,15 @@ fn scalar(v: &Value) -> Option<f64> {
 
 /// Flattens a report into `case key -> value`. Metrics snapshots (maps
 /// with `counters` and `histograms`) use the deterministic metric names;
-/// anything else is scanned for bench cases carrying `metric` — or, for
-/// `--metric bytes`, any of [`BYTES_FIELDS`], each under its own
-/// `#field`-suffixed key.
-fn extract(report: &Value, metric: &str) -> BTreeMap<String, f64> {
+/// anything else is scanned for bench cases carrying `mean_ns`.
+fn extract(report: &Value) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     if report.field("counters").is_ok() && report.field("histograms").is_ok() {
         collect_metrics(report, &mut out);
     } else {
-        let fields: &[&str] = if metric == "bytes" {
-            &BYTES_FIELDS
-        } else {
-            std::slice::from_ref(
-                MEASUREMENT_FIELDS
-                    .iter()
-                    .find(|f| **f == metric)
-                    .expect("metric validated at parse time"),
-            )
-        };
-        collect_cases("", report, fields, &mut out);
+        collect_cases("", report, &mut out);
     }
     out
-}
-
-/// Diagnostic for `--metric bytes` when a report extracts to zero
-/// cases: says *which* file lacks the wire byte series and why —
-/// typically a baseline written before the shard bench recorded
-/// `wire_cases`, or a report from a different bench entirely — and how
-/// to regenerate it, instead of the generic comparable-case count.
-fn missing_bytes_series(role: &str, path: &str, report: &Value) -> String {
-    let why = match report.field("wire_cases") {
-        Ok(_) => "its `wire_cases` entries carry no byte fields",
-        Err(_) => "it has no `wire_cases` series at all",
-    };
-    format!(
-        "{role} report `{path}` lacks the wire byte series — {why}; regenerate it with \
-         `cargo bench -p delta-bench --bench shard -- --json <out>` before diffing with \
-         --metric bytes"
-    )
 }
 
 /// Deterministic slice of a `--metrics-out` snapshot: counters and
@@ -492,11 +220,9 @@ fn collect_metrics(report: &Value, out: &mut BTreeMap<String, f64>) {
 }
 
 /// Walks a bench report: a map object inside any sequence that carries
-/// at least one of the measurement fields is a case, keyed by its path
-/// and identifying scalar fields in report order. With a single field
-/// the key is the bare identity; with several (`--metric bytes`) each
-/// present field gets its own `#field`-suffixed key.
-fn collect_cases(prefix: &str, v: &Value, metrics: &[&str], out: &mut BTreeMap<String, f64>) {
+/// `mean_ns` is a case, keyed by its path and identifying scalar fields
+/// in report order.
+fn collect_cases(prefix: &str, v: &Value, out: &mut BTreeMap<String, f64>) {
     match v {
         Value::Map(entries) => {
             for (k, child) in entries {
@@ -505,25 +231,19 @@ fn collect_cases(prefix: &str, v: &Value, metrics: &[&str], out: &mut BTreeMap<S
                 } else {
                     format!("{prefix}.{k}")
                 };
-                collect_cases(&path, child, metrics, out);
+                collect_cases(&path, child, out);
             }
         }
         Value::Seq(items) => {
             for item in items {
                 let Value::Map(fields) = item else { continue };
-                let present: Vec<(&str, f64)> = metrics
+                let Some(value) = fields
                     .iter()
-                    .filter_map(|m| {
-                        fields
-                            .iter()
-                            .find(|(k, _)| k == m)
-                            .and_then(|(_, v)| scalar(v))
-                            .map(|x| (*m, x))
-                    })
-                    .collect();
-                if present.is_empty() {
+                    .find(|(k, _)| k == "mean_ns")
+                    .and_then(|(_, v)| scalar(v))
+                else {
                     continue;
-                }
+                };
                 let identity: Vec<String> = fields
                     .iter()
                     .filter(|(k, _)| !MEASUREMENT_FIELDS.contains(&k.as_str()))
@@ -533,14 +253,7 @@ fn collect_cases(prefix: &str, v: &Value, metrics: &[&str], out: &mut BTreeMap<S
                         other => scalar(other).map(|x| format!("{k}={x}")),
                     })
                     .collect();
-                let key = format!("{prefix}/{}", identity.join(","));
-                if let [(_, value)] = present.as_slice() {
-                    out.insert(key, *value);
-                } else {
-                    for (m, value) in present {
-                        out.insert(format!("{key}#{m}"), value);
-                    }
-                }
+                out.insert(format!("{prefix}/{}", identity.join(",")), value);
             }
         }
         _ => {}
@@ -631,24 +344,22 @@ mod tests {
 
     #[test]
     fn cases_key_on_identity_fields() {
-        let cases = extract(&bench_report(&[("clique", 1000, 900)]), "mean_ns");
+        let cases = extract(&bench_report(&[("clique", 1000, 900)]));
         assert_eq!(cases.len(), 1);
         assert_eq!(cases["cases/topology=clique,n=100"], 1000.0);
-        let mins = extract(&bench_report(&[("clique", 1000, 900)]), "min_ns");
-        assert_eq!(mins["cases/topology=clique,n=100"], 900.0);
     }
 
     #[test]
     fn injected_regression_is_flagged_and_noise_is_not() {
-        let base = extract(
-            &bench_report(&[("clique", 1000, 900), ("sparse", 2000, 1800)]),
-            "mean_ns",
-        );
+        let base = extract(&bench_report(&[
+            ("clique", 1000, 900),
+            ("sparse", 2000, 1800),
+        ]));
         // clique +50% (regression past 10%), sparse +5% (within noise).
-        let cand = extract(
-            &bench_report(&[("clique", 1500, 1300), ("sparse", 2100, 1900)]),
-            "mean_ns",
-        );
+        let cand = extract(&bench_report(&[
+            ("clique", 1500, 1300),
+            ("sparse", 2100, 1900),
+        ]));
         let diff = compare(&base, &cand, 10.0);
         assert_eq!(diff.rows.len(), 2);
         let flagged: Vec<_> = diff
@@ -662,8 +373,8 @@ mod tests {
 
     #[test]
     fn unmatched_cases_never_gate() {
-        let base = extract(&bench_report(&[("clique", 1000, 900)]), "mean_ns");
-        let cand = extract(&bench_report(&[("sparse", 9000, 8000)]), "mean_ns");
+        let base = extract(&bench_report(&[("clique", 1000, 900)]));
+        let cand = extract(&bench_report(&[("sparse", 9000, 8000)]));
         let diff = compare(&base, &cand, 10.0);
         assert!(diff.rows.is_empty());
         assert_eq!(diff.only_baseline.len(), 1);
@@ -703,237 +414,17 @@ mod tests {
                 ("worker_units_total".to_string(), Value::U64(64)),
             ])
         };
-        let cases = extract(&snap(813), "mean_ns");
+        let cases = extract(&snap(813));
         assert_eq!(cases.len(), 3, "timing counter excluded: {cases:?}");
         assert_eq!(cases["counters.exec.rounds"], 813.0);
         assert_eq!(cases["watermarks.exec.live_peak"], 2000.0);
         assert_eq!(cases["worker_units_total"], 64.0);
         // Identical deterministic snapshots diff clean at threshold 0.
-        let diff = compare(&cases, &extract(&snap(813), "mean_ns"), 0.0);
+        let diff = compare(&cases, &extract(&snap(813)), 0.0);
         assert!(diff.rows.iter().all(|r| !r.regressed));
         // A behavior change is caught even at a generous threshold.
-        let diff = compare(&cases, &extract(&snap(2000), "mean_ns"), 100.0);
+        let diff = compare(&cases, &extract(&snap(2000)), 100.0);
         assert!(diff.rows.iter().any(|r| r.regressed));
-    }
-
-    fn wire_report(init: u64, round: u64, rounds: u64) -> Value {
-        Value::Map(vec![
-            ("schema_version".to_string(), Value::U64(1)),
-            (
-                "wire_cases".to_string(),
-                Value::Seq(vec![Value::Map(vec![
-                    ("topology".to_string(), Value::Str("clique".to_string())),
-                    ("n".to_string(), Value::U64(2000)),
-                    ("algo".to_string(), Value::Str("rand:7".to_string())),
-                    ("shards".to_string(), Value::U64(4)),
-                    ("rounds".to_string(), Value::U64(rounds)),
-                    ("init_bytes".to_string(), Value::U64(init)),
-                    ("round_bytes".to_string(), Value::U64(round)),
-                    (
-                        "total_sent_bytes".to_string(),
-                        Value::U64(init + round * rounds),
-                    ),
-                    ("total_recv_bytes".to_string(), Value::U64(round * rounds)),
-                    ("ghost_updates".to_string(), Value::U64(64)),
-                    ("ghost_suppressed".to_string(), Value::U64(32)),
-                ])]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn bytes_metric_expands_every_wire_field_and_gates_exactly() {
-        let cases = extract(&wire_report(900, 70, 2873), "bytes");
-        assert_eq!(cases.len(), BYTES_FIELDS.len(), "{cases:?}");
-        let key = "wire_cases/topology=clique,n=2000,algo=rand:7,shards=4";
-        assert_eq!(cases[&format!("{key}#init_bytes")], 900.0);
-        assert_eq!(cases[&format!("{key}#round_bytes")], 70.0);
-        assert_eq!(cases[&format!("{key}#rounds")], 2873.0);
-        // Identical reports diff clean at threshold 0...
-        let diff = compare(&cases, &extract(&wire_report(900, 70, 2873), "bytes"), 0.0);
-        assert!(diff.rows.iter().all(|r| !r.regressed));
-        // ...and a single extra byte per round fails the exact gate.
-        let diff = compare(&cases, &extract(&wire_report(900, 71, 2873), "bytes"), 0.0);
-        assert!(diff.rows.iter().any(|r| r.regressed));
-        // Timing cases don't leak into bytes mode and vice versa.
-        assert!(extract(&bench_report(&[("clique", 1000, 900)]), "bytes").is_empty());
-        assert!(extract(&wire_report(900, 70, 2873), "mean_ns").is_empty());
-        // Filters see the identity through the #field suffix.
-        let terms = parse_filter("shards=4").unwrap();
-        assert!(matches_filter(&format!("{key}#init_bytes"), &terms));
-        assert!(!matches_filter(
-            &format!("{key}#init_bytes"),
-            &parse_filter("shards=2").unwrap()
-        ));
-    }
-
-    #[test]
-    fn absent_wire_series_is_named_not_counted() {
-        // A pre-wire-series baseline (bench cases only): the diagnostic
-        // names the file, the missing series, and the regeneration step.
-        let msg = missing_bytes_series(
-            "baseline",
-            "old.json",
-            &bench_report(&[("clique", 1000, 900)]),
-        );
-        assert!(msg.contains("baseline report `old.json`"), "{msg}");
-        assert!(msg.contains("no `wire_cases` series at all"), "{msg}");
-        assert!(msg.contains("bench shard"), "{msg}");
-        // A present-but-empty series gets the other explanation.
-        let hollow = Value::Map(vec![("wire_cases".to_string(), Value::Seq(vec![]))]);
-        let msg = missing_bytes_series("candidate", "new.json", &hollow);
-        assert!(msg.contains("candidate report `new.json`"), "{msg}");
-        assert!(msg.contains("carry no byte fields"), "{msg}");
-    }
-
-    #[test]
-    fn bytes_diff_against_a_baseline_without_the_series_exits_2() {
-        let dir = std::env::temp_dir().join(format!("benchdiff-absent-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let base = dir.join("base.json");
-        let cand = dir.join("cand.json");
-        std::fs::write(
-            &base,
-            r#"{"schema_version":1,"cases":[{"topology":"clique","n":64,"mean_ns":100}]}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            &cand,
-            r#"{"schema_version":1,"wire_cases":[{"topology":"clique","n":64,"shards":4,
-                "rounds":3,"init_bytes":900,"round_bytes":70,"total_sent_bytes":1110,
-                "total_recv_bytes":210,"ghost_updates":4,"ghost_suppressed":2}]}"#,
-        )
-        .unwrap();
-        let args: Vec<String> = [
-            "--metric",
-            "bytes",
-            base.to_str().unwrap(),
-            cand.to_str().unwrap(),
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        assert_eq!(run(&args), 2, "series-absent diff must refuse, not pass");
-        // The same pair under the default timing metric still takes the
-        // generic no-comparable-cases exit (candidate has no mean_ns).
-        let args: Vec<String> = [base.to_str().unwrap(), cand.to_str().unwrap()]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(run(&args), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn filter_terms_select_by_identity_component() {
-        let terms = parse_filter("topo=clique,exec=state,variant=par4").unwrap();
-        assert_eq!(terms, ["topology=clique", "executor=state", "variant=par4"]);
-        let key = "cases/topology=clique,n=2000,executor=state,variant=par4";
-        assert!(matches_filter(key, &terms));
-        // Component match, not substring match: `n=200` must not match
-        // `n=2000`, and `variant=seq` must not match `variant=par4`.
-        assert!(!matches_filter(key, &parse_filter("n=200").unwrap()));
-        assert!(!matches_filter(key, &parse_filter("variant=seq").unwrap()));
-        assert!(matches_filter(key, &[]));
-        // Metrics keys carry no identity components.
-        assert!(!matches_filter("counters.exec.rounds", &terms));
-        assert!(parse_filter("oops").is_err());
-        assert!(parse_filter("k=").is_err());
-    }
-
-    fn variant_report(cases: &[(&str, &str, u64)]) -> BTreeMap<String, f64> {
-        let report = Value::Map(vec![(
-            "cases".to_string(),
-            Value::Seq(
-                cases
-                    .iter()
-                    .map(|(topo, variant, mean)| {
-                        Value::Map(vec![
-                            ("topology".to_string(), Value::Str((*topo).to_string())),
-                            ("variant".to_string(), Value::Str((*variant).to_string())),
-                            ("mean_ns".to_string(), Value::U64(*mean)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )]);
-        extract(&report, "mean_ns")
-    }
-
-    #[test]
-    fn ratio_pairs_variants_and_skips_singletons() {
-        let cases = variant_report(&[
-            ("clique", "seq", 1000),
-            ("clique", "par4", 500),
-            ("path", "seq", 2000),
-            ("path", "par4", 4000),
-            ("cycle", "par4", 700), // no seq twin: skipped
-        ]);
-        let ratios = variant_ratios(&cases, "par4", "seq");
-        let pairs = &ratios.comparable;
-        assert_eq!(pairs.len(), 2);
-        assert!(ratios.incomparable.is_empty());
-        // Keys are the shared identity with the variant stripped.
-        assert_eq!(pairs[0].0, "cases/topology=clique");
-        assert!((pairs[0].3 - 0.5).abs() < 1e-9);
-        assert_eq!(pairs[1].0, "cases/topology=path");
-        assert!((pairs[1].3 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_measurements_are_incomparable_not_inf() {
-        // Smoke-mode reports can legitimately carry min_ns == 0 for
-        // sub-nanosecond-resolution cases; the pair must be bucketed,
-        // not divided.
-        let cases = variant_report(&[
-            ("clique", "seq", 1000),
-            ("clique", "par4", 500),
-            ("path", "seq", 0), // zero denominator
-            ("path", "par4", 4000),
-            ("cycle", "seq", 800),
-            ("cycle", "par4", 0), // zero numerator
-        ]);
-        let ratios = variant_ratios(&cases, "par4", "seq");
-        assert_eq!(ratios.comparable.len(), 1);
-        assert_eq!(ratios.comparable[0].0, "cases/topology=clique");
-        let incomparable: Vec<&str> = ratios
-            .incomparable
-            .iter()
-            .map(|(k, ..)| k.as_str())
-            .collect();
-        assert_eq!(
-            incomparable,
-            ["cases/topology=cycle", "cases/topology=path"]
-        );
-        // The surviving geomean is finite and the run stays exit 0.
-        assert!(ratios
-            .comparable
-            .iter()
-            .all(|(_, _, _, r)| r.is_finite() && *r > 0.0));
-        assert_eq!(run_ratio(&cases, "par4", "seq", true), 0);
-        assert_eq!(run_ratio(&cases, "par4", "seq", false), 0);
-    }
-
-    #[test]
-    fn all_pairs_incomparable_still_reports_instead_of_nan() {
-        let cases = variant_report(&[("clique", "seq", 0), ("clique", "par4", 0)]);
-        let ratios = variant_ratios(&cases, "par4", "seq");
-        assert!(ratios.comparable.is_empty());
-        assert_eq!(ratios.incomparable.len(), 1);
-        // Pairs exist (just not comparable ones): informational exit 0,
-        // not the "no pairs at all" usage error.
-        assert_eq!(run_ratio(&cases, "par4", "seq", true), 0);
-        assert_eq!(run_ratio(&cases, "par4", "seq", false), 0);
-    }
-
-    #[test]
-    fn ratio_run_is_informational() {
-        let cases = variant_report(&[("clique", "seq", 1000), ("clique", "par4", 3000)]);
-        // A 3x slowdown still exits 0 — core-count dependent, not a gate.
-        assert_eq!(run_ratio(&cases, "par4", "seq", true), 0);
-        assert_eq!(run_ratio(&cases, "par4", "seq", false), 0);
-        // No pairs at all is a usage error.
-        assert_eq!(run_ratio(&cases, "par8", "seq", false), 2);
     }
 
     #[test]

@@ -13,7 +13,8 @@ pub mod experiments;
 pub mod util;
 
 /// Schema version stamped into every JSON report this crate writes (the
-/// `BENCH_*.json` bench reports and the experiments `--json` output).
+/// executors bench's `BENCH_executors.json` and the experiments `--json`
+/// output).
 /// `benchdiff` refuses to compare files whose versions differ; bump it
 /// whenever a report's shape changes incompatibly.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;

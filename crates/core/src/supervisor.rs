@@ -621,6 +621,52 @@ fn check_snapshot(
             g.m()
         )));
     }
+    // The digest pins the graph, not the state: a snapshot edited after
+    // it was written must still fit the graph before any phase reads it.
+    if snap.coloring.len() != g.n() {
+        return Err(DeltaColoringError::Supervisor(format!(
+            "snapshot coloring covers {} vertices, the graph has {}",
+            snap.coloring.len(),
+            g.n()
+        )));
+    }
+    let delta = g.max_degree();
+    if let Some(c) = snap.coloring.max_color().filter(|c| c.index() >= delta) {
+        return Err(DeltaColoringError::Supervisor(format!(
+            "snapshot coloring uses color {} outside the palette 0..{delta}",
+            c.0
+        )));
+    }
+    Ok(())
+}
+
+/// Checks that a randomized snapshot's shattering state fits the graph
+/// and the cursor: the deferred rings exist (one entry per vertex) once
+/// pre-shattering is done and not before, and every slack vertex is a
+/// vertex of the graph.
+fn check_rand_state(
+    rs: &RandSnapshot,
+    g: &Graph,
+    cursor: PhaseCursor,
+) -> Result<(), DeltaColoringError> {
+    let want_ring = if cursor.ordinal() >= PhaseCursor::PreShattering.ordinal() {
+        g.n()
+    } else {
+        0
+    };
+    if rs.ring.len() != want_ring {
+        return Err(DeltaColoringError::Supervisor(format!(
+            "snapshot after `{cursor}` has {} ring entries, expected {want_ring}",
+            rs.ring.len()
+        )));
+    }
+    if let Some(v) = rs.slack_vertices.iter().find(|v| v.index() >= g.n()) {
+        return Err(DeltaColoringError::Supervisor(format!(
+            "snapshot slack vertex {} is outside the graph's 0..{}",
+            v.0,
+            g.n()
+        )));
+    }
     Ok(())
 }
 
@@ -699,6 +745,7 @@ pub fn drive_randomized(
                     "randomized snapshot is missing its pipeline state".to_string(),
                 )
             })?;
+            check_rand_state(&rs, g, snap.cursor)?;
             if rs.config != *config {
                 return Err(DeltaColoringError::Supervisor(
                     "snapshot configuration differs from the resume configuration; \

@@ -14,11 +14,12 @@ use std::sync::Arc;
 
 use delta_core::{
     drive_deterministic, drive_randomized, load_snapshot, replay_bundle, ChaosPlan, Config,
-    PhaseCursor, RandConfig, RandReport, Report, RunOutcome, Supervisor,
+    DeltaColoringError, PhaseCursor, RandConfig, RandReport, Report, RunOutcome, Snapshot,
+    Supervisor,
 };
 use graphgen::coloring::verify_delta_coloring;
 use graphgen::generators::{self, BlueprintKind, HardCliqueParams};
-use graphgen::Graph;
+use graphgen::{Color, Coloring, Graph, NodeId};
 use localsim::{Event, FaultPlan, JsonlSink, MetricsHub, Probe, RecordingSink};
 
 fn circulant(cliques: usize, seed: u64) -> generators::HardCliqueInstance {
@@ -137,6 +138,14 @@ fn assert_rand_resume_identical(
         panic!("{tag}: uninterrupted run must complete");
     };
     verify_delta_coloring(g, &ref_report.coloring).unwrap();
+    let (plain, _) = supervised_rand(g, config, faults, &Supervisor::passive(), None);
+    let RunOutcome::Complete { report: plain, .. } = plain else {
+        panic!("{tag}: unsupervised run must complete");
+    };
+    assert_eq!(
+        plain.coloring, ref_report.coloring,
+        "{tag}: checkpointing changed the coloring"
+    );
     let ref_checkpoints = ref_events
         .iter()
         .filter(|e| matches!(e, Event::Checkpoint { .. }))
@@ -239,6 +248,14 @@ fn deterministic_kill_and_resume_is_bit_identical_at_every_boundary() {
             panic!("{tag}: uninterrupted run must complete");
         };
         verify_delta_coloring(&inst.graph, &ref_report.coloring).unwrap();
+        let (plain, _) = supervised_det(&inst.graph, &config, &Supervisor::passive(), None);
+        let RunOutcome::Complete { report: plain, .. } = plain else {
+            panic!("{tag}: unsupervised run must complete");
+        };
+        assert_eq!(
+            plain.coloring, ref_report.coloring,
+            "{tag}: checkpointing changed the coloring"
+        );
 
         for cursor in DET_BOUNDARIES {
             let dir = TempDir::new(&format!("{tag}-{}", cursor.slug()));
@@ -303,6 +320,73 @@ fn resume_rejects_a_mismatched_graph() {
         msg.contains("digest"),
         "error must name the digest mismatch, got: {msg}"
     );
+}
+
+/// Suspends a randomized run after post-shattering, lets `edit` tamper
+/// with the snapshot, and returns the message the resume refuses it with.
+fn refused_rand_resume(tag: &str, edit: impl FnOnce(&mut Snapshot)) -> String {
+    let inst = circulant(40, 1);
+    let config = shattering_config(7, 1);
+    let dir = TempDir::new(tag);
+    let stopper = Supervisor {
+        stop_after: Some(PhaseCursor::PostShattering),
+        ..checkpointing(&dir)
+    };
+    let (outcome, _) = supervised_rand(&inst.graph, &config, None, &stopper, None);
+    let RunOutcome::Suspended { snapshot, .. } = outcome else {
+        panic!("{tag}: expected suspension");
+    };
+    let mut snap = load_snapshot(&snapshot).unwrap();
+    edit(&mut snap);
+    let err = drive_randomized(
+        &inst.graph,
+        &config,
+        None,
+        &Probe::disabled(),
+        &Supervisor::passive(),
+        Some(snap),
+    )
+    .unwrap_err();
+    let DeltaColoringError::Supervisor(msg) = err else {
+        panic!("{tag}: expected a supervisor error, got {err}");
+    };
+    msg
+}
+
+#[test]
+fn resume_rejects_a_truncated_coloring() {
+    let msg = refused_rand_resume("short-coloring", |snap| {
+        snap.coloring = Coloring::empty(10);
+    });
+    assert!(msg.contains("covers 10 vertices"), "{msg}");
+}
+
+#[test]
+fn resume_rejects_a_color_outside_the_palette() {
+    let msg = refused_rand_resume("wide-color", |snap| {
+        let mut colors: Vec<Option<Color>> = (0..snap.n)
+            .map(|v| snap.coloring.get(NodeId(v as u32)))
+            .collect();
+        colors[0] = Some(Color(16));
+        snap.coloring = Coloring::from_vec(colors);
+    });
+    assert!(msg.contains("color 16 outside the palette 0..16"), "{msg}");
+}
+
+#[test]
+fn resume_rejects_a_truncated_ring() {
+    let msg = refused_rand_resume("short-ring", |snap| {
+        snap.rand.as_mut().unwrap().ring.truncate(5);
+    });
+    assert!(msg.contains("has 5 ring entries"), "{msg}");
+}
+
+#[test]
+fn resume_rejects_a_slack_vertex_outside_the_graph() {
+    let msg = refused_rand_resume("far-slack", |snap| {
+        snap.rand.as_mut().unwrap().slack_vertices = vec![NodeId(999_999)];
+    });
+    assert!(msg.contains("slack vertex 999999 is outside"), "{msg}");
 }
 
 #[test]

@@ -124,14 +124,20 @@ impl Serialize for Graph {
 }
 
 impl<'de> Deserialize<'de> for Graph {
+    /// Reads a serialized CSR graph and refuses any that breaks the
+    /// invariants every other method relies on, so a tampered file is an
+    /// error rather than a later out-of-bounds panic.
     fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Graph {
+        let g = Graph {
             offsets: Deserialize::from_value(v.field("offsets")?)?,
             adj: Deserialize::from_value(v.field("adj")?)?,
             m: Deserialize::from_value(v.field("m")?)?,
             max_degree: Deserialize::from_value(v.field("max_degree")?)?,
             rev_ports: OnceLock::new(),
-        })
+        };
+        g.check_csr()
+            .map_err(|e| serde::Error::new(format!("invalid graph: {e}")))?;
+        Ok(g)
     }
 }
 
@@ -207,6 +213,62 @@ impl Graph {
             max_degree,
             rev_ports: OnceLock::new(),
         }
+    }
+
+    /// Checks the CSR invariants: offsets start at 0, never decrease and
+    /// end at `adj.len()`; each adjacency list is strictly ascending, in
+    /// range and loop-free; every edge is listed from both ends; `m` and
+    /// `max_degree` match the lists.
+    fn check_csr(&self) -> Result<(), String> {
+        let (offsets, adj) = (&self.offsets, &self.adj);
+        if offsets.first() != Some(&0) {
+            return Err("offsets must start with 0".to_string());
+        }
+        if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return Err(format!("offsets decrease at vertex {i}"));
+        }
+        if offsets[offsets.len() - 1] != adj.len() {
+            return Err(format!(
+                "last offset is {}, adjacency has {} entries",
+                offsets[offsets.len() - 1],
+                adj.len()
+            ));
+        }
+        let n = offsets.len() - 1;
+        let list = |v: usize| &adj[offsets[v]..offsets[v + 1]];
+        for u in 0..n {
+            let nbrs = list(u);
+            if let Some(w) = nbrs.iter().find(|w| w.index() >= n) {
+                return Err(format!("vertex {u} lists neighbor {} outside 0..{n}", w.0));
+            }
+            if nbrs.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("adjacency of vertex {u} is not strictly ascending"));
+            }
+            for w in nbrs {
+                if w.index() == u {
+                    return Err(format!("self loop at vertex {u}"));
+                }
+                if list(w.index()).binary_search(&NodeId(u as u32)).is_err() {
+                    return Err(format!("edge ({u}, {}) is missing its reverse", w.0));
+                }
+            }
+        }
+        // Symmetric and loop-free, so `adj.len()` is even.
+        if self.m != adj.len() / 2 {
+            return Err(format!(
+                "m is {}, adjacency lists {} edges",
+                self.m,
+                adj.len() / 2
+            ));
+        }
+        let max_degree = (0..n).map(|v| list(v).len()).max().unwrap_or(0);
+        if self.max_degree != max_degree {
+            return Err(format!(
+                "max_degree is {}, the largest degree is {max_degree}",
+                self.max_degree
+            ));
+        }
+        Ok(())
     }
 
     /// Number of vertices.
@@ -654,6 +716,79 @@ mod tests {
         let back = Graph::from_value(&g.to_value()).unwrap();
         assert_eq!(g, back);
         assert_eq!(g.reverse_ports(), back.reverse_ports());
+    }
+
+    /// Deserializes `triangle_plus_pendant` (offsets `[0, 2, 4, 7, 8]`,
+    /// adjacency `[1, 2 | 0, 2 | 0, 1, 3 | 2]`) after `edit` tampers with
+    /// one of its serialized fields, returning the refusal message.
+    fn refusal(field: &str, edit: impl FnOnce(&mut Value)) -> String {
+        let Value::Map(mut entries) = triangle_plus_pendant().to_value() else {
+            unreachable!("a graph serializes to a map")
+        };
+        let (_, v) = entries.iter_mut().find(|(k, _)| k == field).unwrap();
+        edit(v);
+        Graph::from_value(&Value::Map(entries))
+            .expect_err("tampered graph must be refused")
+            .to_string()
+    }
+
+    fn set_index(v: &mut Value, i: usize, x: u64) {
+        let Value::Seq(items) = v else {
+            unreachable!("offsets and adj serialize to sequences")
+        };
+        items[i] = Value::U64(x);
+    }
+
+    #[test]
+    fn deserialize_refuses_broken_offsets() {
+        let msg = refusal("offsets", |v| *v = Value::Seq(Vec::new()));
+        assert!(msg.contains("start with 0"), "{msg}");
+        let msg = refusal("offsets", |v| set_index(v, 0, 1));
+        assert!(msg.contains("start with 0"), "{msg}");
+        let msg = refusal("offsets", |v| set_index(v, 1, 5));
+        assert!(msg.contains("offsets decrease at vertex 1"), "{msg}");
+        let msg = refusal("offsets", |v| set_index(v, 4, 13));
+        assert!(msg.contains("last offset is 13"), "{msg}");
+    }
+
+    #[test]
+    fn deserialize_refuses_out_of_range_neighbors() {
+        let msg = refusal("adj", |v| set_index(v, 0, 1_000_000_000));
+        assert!(msg.contains("neighbor 1000000000 outside 0..4"), "{msg}");
+    }
+
+    #[test]
+    fn deserialize_refuses_unsorted_adjacency() {
+        let msg = refusal("adj", |v| {
+            set_index(v, 0, 2);
+            set_index(v, 1, 1);
+        });
+        assert!(msg.contains("vertex 0 is not strictly ascending"), "{msg}");
+        let msg = refusal("adj", |v| set_index(v, 1, 1));
+        assert!(msg.contains("vertex 0 is not strictly ascending"), "{msg}");
+    }
+
+    #[test]
+    fn deserialize_refuses_self_loops() {
+        let msg = refusal("adj", |v| set_index(v, 0, 0));
+        assert!(msg.contains("self loop at vertex 0"), "{msg}");
+    }
+
+    #[test]
+    fn deserialize_refuses_asymmetric_adjacency() {
+        let msg = refusal("adj", |v| set_index(v, 7, 1));
+        assert!(msg.contains("edge (2, 3) is missing its reverse"), "{msg}");
+    }
+
+    #[test]
+    fn deserialize_refuses_wrong_edge_count_and_max_degree() {
+        let msg = refusal("m", |v| *v = Value::U64(5));
+        assert!(msg.contains("m is 5"), "{msg}");
+        let msg = refusal("max_degree", |v| *v = Value::U64(4));
+        assert!(
+            msg.contains("max_degree is 4, the largest degree is 3"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -35,6 +35,7 @@ fn topologies() -> Vec<(&'static str, Graph)> {
         ("path", generators::path(24)),
         ("cycle", generators::cycle(24)),
         ("clique", clique(10)),
+        ("gnp", generators::gnp(600, 8.0 / 600.0, 17)),
     ]
 }
 
@@ -129,10 +130,14 @@ fn run_sharded_chaos(
 #[test]
 fn sharded_matches_single_process_on_every_topology_and_plan() {
     for (name, g) in topologies() {
-        for algo in [WireAlgo::Greedy, WireAlgo::Rand { seed: 5 }] {
+        for algo in [
+            WireAlgo::Greedy,
+            WireAlgo::Rand { seed: 5 },
+            WireAlgo::Rand { seed: 7 },
+        ] {
             for (plan_name, plan) in [("clean", None), ("faulted", Some(faulted_plan()))] {
                 let (want, want_events) = run_single(&g, algo, plan.as_ref());
-                for shards in [2, 4] {
+                for shards in [1, 2, 4] {
                     let (got, got_events) = run_sharded(&g, algo, plan.as_ref(), shards, vec![], 0);
                     assert_eq!(
                         got, want,

@@ -1,5 +1,10 @@
 //! Cross-crate integration tests: generator → ACD → pipelines → validator.
 
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+use serde::{json, Value};
+
 use delta_coloring::coloring::{
     color_deterministic, color_randomized, Config, DeltaColoringError, HegAlgo, MatchingAlgo,
     RandConfig,
@@ -219,4 +224,117 @@ fn paper_scale_stress() {
     )
     .unwrap();
     verify_delta_coloring(&inst.graph, &rand.coloring).unwrap();
+}
+
+const BIN: &str = env!("CARGO_BIN_EXE_delta-color");
+
+/// Runs the CLI, returning `(exit code, stdout, stderr)`.
+fn cli(args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(BIN)
+        .args(args)
+        .output()
+        .expect("spawn delta-color");
+    (
+        out.status.code().expect("exited, not signalled"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A fresh scratch directory under the system temp dir, unique per tag.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("integration-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Parses the JSON file at `path`, applies `edit`, and writes it back.
+fn edit_json(path: &Path, edit: impl FnOnce(&mut Value)) {
+    let mut v = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    edit(&mut v);
+    std::fs::write(path, json::to_string(&v)).unwrap();
+}
+
+fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
+    let Value::Map(entries) = v else {
+        panic!("expected an object holding `{key}`")
+    };
+    &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1
+}
+
+fn seq(v: &mut Value) -> &mut Vec<Value> {
+    let Value::Seq(items) = v else {
+        panic!("expected a sequence")
+    };
+    items
+}
+
+/// Exit 1 with an `error: ` line, not a panic (exit 101).
+fn assert_cli_error(args: &[&str]) {
+    let (code, _, stderr) = cli(args);
+    assert_eq!(code, 1, "{args:?} must fail cleanly:\n{stderr}");
+    assert!(
+        stderr.lines().any(|l| l.starts_with("error: ")),
+        "{args:?} must print an `error: ` line:\n{stderr}"
+    );
+}
+
+#[test]
+fn resume_from_a_snapshot_that_does_not_fit_the_graph_is_an_error() {
+    let dir = scratch_dir("hostile-snapshot");
+    let graph = dir.join("g.txt");
+    let (code, stdout, _) = cli(&["gen", "--cliques", "40", "--delta", "16", "--seed", "1"]);
+    assert_eq!(code, 0);
+    std::fs::write(&graph, stdout).unwrap();
+    let (graph, ckpt) = (graph.to_str().unwrap(), dir.join("ckpt"));
+    let args = [
+        "color",
+        graph,
+        "--randomized",
+        "7",
+        "--checkpoint-dir",
+        ckpt.to_str().unwrap(),
+        "--stop-after",
+        "classification",
+    ];
+    assert_eq!(cli(&args).0, 0);
+    let snapshot = ckpt.join("checkpoint-01-classification.json");
+    edit_json(&snapshot, |s| {
+        seq(field(field(s, "coloring"), "colors")).truncate(10);
+    });
+    assert_cli_error(&["color", graph, "--resume", snapshot.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replay_of_a_bundle_with_an_out_of_range_neighbor_is_an_error() {
+    let dir = scratch_dir("hostile-bundle");
+    let graph = dir.join("g.txt");
+    let (code, stdout, _) = cli(&["gen", "--cliques", "160", "--delta", "16", "--seed", "5"]);
+    assert_eq!(code, 0);
+    std::fs::write(&graph, stdout).unwrap();
+    let bundles = dir.join("bundles");
+    std::fs::create_dir_all(&bundles).unwrap();
+    let args = [
+        "color",
+        graph.to_str().unwrap(),
+        "--randomized",
+        "1",
+        "--chaos-skip",
+        "0",
+        "--bundle-dir",
+        bundles.to_str().unwrap(),
+    ];
+    assert_eq!(cli(&args).0, 1, "a skipped component must fail the run");
+    let bundle = std::fs::read_dir(&bundles)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("the failed run writes a bundle");
+    edit_json(&bundle, |b| {
+        seq(field(field(b, "graph"), "adj"))[0] = Value::U64(1_000_000_000);
+    });
+    assert_cli_error(&["replay", bundle.to_str().unwrap()]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,11 +8,16 @@
 //! process analogue of `crates/core/tests/supervisor.rs`'s
 //! kill-and-resume checks (and of `crates/localsim/tests/shard.rs`,
 //! which covers the same protocol with thread-hosted workers).
+//!
+//! It also pins the wire protocol's traffic down to the byte: see
+//! [`wire_bytes_match_the_committed_series_exactly`].
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Arc;
 
 use delta_coloring::graphs::{generators, io};
+use localsim::{MetricsHub, Probe, ShardedExecutor, WireAlgo};
 
 const BIN: &str = env!("CARGO_BIN_EXE_delta-color");
 const FAULT_SPEC: &str = "seed=7,drop=0.05,jitter=2";
@@ -329,5 +334,59 @@ fn checkpoint_dir_receives_shard_checkpoints_through_the_cli() {
     assert!(
         ckpt_dir.join("shard-checkpoint-0002.json").exists(),
         "round-2 checkpoint missing"
+    );
+}
+
+/// The exact wire traffic of a thread-backed fleet on `complete(400)`,
+/// per `(algo, shards)`: rounds, `Init` bytes, steady-state bytes per
+/// round (`(sent + recv - init) / rounds`), total sent and received
+/// bytes, ghost updates sent, and ghost updates suppressed. A clique is
+/// the delta ghost exchange's worst case (every vertex is a boundary
+/// vertex), so these bound the protocol's per-round footprint.
+const WIRE_SERIES: [(&str, usize, [u64; 7]); 4] = [
+    ("rand:7", 2, [1779, 2606, 45, 34041, 50135, 3116, 0]),
+    ("rand:7", 4, [1779, 2670, 68, 60925, 63976, 10472, 0]),
+    ("greedy", 2, [401, 2606, 55, 10708, 14010, 200, 79800]),
+    ("greedy", 4, [401, 2670, 87, 17065, 20799, 600, 79800]),
+];
+
+/// Wire traffic is deterministic: any protocol drift (frame growth, a
+/// lost suppression, an extra ghost update) changes one of these numbers.
+/// If a protocol change is intended, replace the table with the measured
+/// one printed on failure.
+#[test]
+fn wire_bytes_match_the_committed_series_exactly() {
+    let g = generators::complete(400);
+    let measured: Vec<(&str, usize, [u64; 7])> = WIRE_SERIES
+        .iter()
+        .map(|&(algo, shards, _)| {
+            let hub = Arc::new(MetricsHub::new());
+            let run = ShardedExecutor::new(&g)
+                .with_shards(shards)
+                .with_probe(Probe::disabled().with_metrics(hub.clone()))
+                .run(algo.parse::<WireAlgo>().unwrap(), 100_000)
+                .unwrap_or_else(|e| panic!("{algo} on {shards} shards: {e}"));
+            let sent = hub.counter("shard.bytes_sent").get();
+            let recv = hub.counter("shard.bytes_recv").get();
+            let init = hub.counter("shard.init_bytes").get();
+            let bytes = [
+                run.rounds,
+                init,
+                (sent + recv - init) / run.rounds.max(1),
+                sent,
+                recv,
+                hub.counter("shard.ghost_updates_sent").get(),
+                hub.counter("shard.ghost_suppressed").get(),
+            ];
+            (algo, shards, bytes)
+        })
+        .collect();
+    let table: String = measured
+        .iter()
+        .map(|row| format!("    {row:?},\n"))
+        .collect();
+    assert_eq!(
+        measured, WIRE_SERIES,
+        "wire traffic drifted; measured table:\n{table}"
     );
 }
