@@ -78,14 +78,6 @@ impl AcdParams {
             }
         }
     }
-
-    /// Explicit ε (η defaults to ε/2). For experiment sweeps.
-    pub fn with_eps(eps: f64) -> Self {
-        AcdParams {
-            eps,
-            eta: eps / 2.0,
-        }
-    }
 }
 
 /// One almost-clique of the decomposition.
@@ -110,7 +102,7 @@ impl AlmostClique {
 }
 
 /// The decomposition output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcdResult {
     /// Parameters used.
     pub params: AcdParams,
@@ -118,8 +110,9 @@ pub struct AcdResult {
     pub sparse: Vec<NodeId>,
     /// The almost-cliques.
     pub cliques: Vec<AlmostClique>,
-    /// Per-vertex clique id (`None` = sparse).
-    pub clique_of: Vec<Option<u32>>,
+    /// Per-vertex clique id (`None` = sparse), indexable like a slice, and
+    /// the internal/external edge split it induces.
+    pub clique_of: ClusterSplit,
     /// LOCAL rounds charged ([`ACD_ROUNDS`]).
     pub rounds: u64,
 }
@@ -130,10 +123,81 @@ impl AcdResult {
     pub fn is_dense(&self) -> bool {
         self.sparse.is_empty()
     }
+}
 
-    /// The clique containing `v`, if any.
-    pub fn clique_containing(&self, v: NodeId) -> Option<&AlmostClique> {
-        self.clique_of[v.index()].map(|c| &self.cliques[c as usize])
+/// A per-vertex cluster map (it derefs to `[Option<u32>]`) and the one
+/// owner of the split of each vertex's edges into internal and external
+/// ones (Definition 4's ≤ εΔ, Lemma 9's `Δ − |C| + 1`). It decides who is
+/// external, that a `None` cluster is its own singleton, and the order
+/// (ascending, as in `N(v)`). Only external entries are stored, as a CSR
+/// built with the map; it is derived data, excluded from equality.
+#[derive(Debug, Clone)]
+pub struct ClusterSplit {
+    cluster_of: Vec<Option<u32>>,
+    offsets: Vec<usize>,
+    external: Vec<NodeId>,
+}
+
+impl ClusterSplit {
+    /// Splits `g`'s edges by `cluster_of`, which has one entry per vertex.
+    pub fn new(g: &Graph, cluster_of: Vec<Option<u32>>) -> Self {
+        let mut split = ClusterSplit {
+            cluster_of,
+            offsets: vec![0],
+            external: Vec::new(),
+        };
+        for v in g.vertices() {
+            for &w in g.neighbors(v) {
+                if !split.same_cluster(v, w) {
+                    split.external.push(w);
+                }
+            }
+            split.offsets.push(split.external.len());
+        }
+        split.external.shrink_to_fit();
+        split
+    }
+
+    /// The neighbors of `v` outside its cluster, ascending: a subsequence
+    /// of `g.neighbors(v)`.
+    pub fn external(&self, v: NodeId) -> &[NodeId] {
+        &self.external[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+    }
+
+    /// The first (lowest-id) external neighbor of `v` that `mask` marks.
+    pub fn first_external_in(&self, v: NodeId, mask: &[bool]) -> Option<NodeId> {
+        self.external(v).iter().copied().find(|w| mask[w.index()])
+    }
+
+    /// Every external edge once, as `(u, v)` with `u < v`, in `g.edges()`
+    /// order.
+    pub fn external_edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
+        (0..self.offsets.len() - 1)
+            .map(NodeId::from)
+            .flat_map(move |u| {
+                let ext = self.external(u).iter();
+                ext.filter(move |&&v| u < v).map(move |&v| (u, v))
+            })
+    }
+
+    /// Whether `a` and `b` lie in one cluster; a `None` cluster is a
+    /// singleton, so two unclustered vertices never do.
+    pub fn same_cluster(&self, a: NodeId, b: NodeId) -> bool {
+        self[a.index()].is_some() && self[a.index()] == self[b.index()]
+    }
+}
+
+impl std::ops::Deref for ClusterSplit {
+    type Target = [Option<u32>];
+
+    fn deref(&self) -> &[Option<u32>] {
+        &self.cluster_of
+    }
+}
+
+impl PartialEq for ClusterSplit {
+    fn eq(&self, other: &Self) -> bool {
+        self.cluster_of == other.cluster_of
     }
 }
 
@@ -395,7 +459,7 @@ fn finish_acd(
         params: *params,
         sparse,
         cliques,
-        clique_of,
+        clique_of: ClusterSplit::new(g, clique_of),
         rounds: ACD_ROUNDS,
     }
 }
@@ -685,6 +749,65 @@ mod tests {
                 g.m()
             );
         }
+    }
+
+    #[test]
+    fn split_lists_exactly_the_other_cluster_neighbors() {
+        // The graphs the loophole case-3 cross-check runs on.
+        use generators::{HardCliqueParams, LoopholeKind};
+        let base = |seed| HardCliqueParams {
+            cliques: 34,
+            delta: 16,
+            external_per_vertex: 1,
+            seed,
+        };
+        let easy = |seed, kind| {
+            generators::easy_cliques(&generators::EasyCliqueParams {
+                base: base(seed),
+                easy: 3,
+                kind,
+            })
+            .unwrap()
+            .graph
+        };
+        let graphs = [
+            generators::hard_cliques(&base(11)).unwrap().graph,
+            easy(12, LoopholeKind::LowDegree),
+            easy(13, LoopholeKind::FourCycle),
+            generators::gnp(80, 0.08, 3),
+            generators::random_regular(60, 5, 4),
+            generators::cycle(4),
+            generators::cycle(6),
+        ];
+        let mut external_edges = 0;
+        for g in &graphs {
+            let acd = compute_acd(g, &AcdParams::for_delta(g.max_degree()));
+            for split in [acd.clique_of, ClusterSplit::new(g, vec![None; g.n()])] {
+                for v in g.vertices() {
+                    let expected: Vec<NodeId> = g
+                        .neighbors(v)
+                        .iter()
+                        .copied()
+                        .filter(|&w| !split.same_cluster(v, w))
+                        .collect();
+                    assert_eq!(split.external(v), expected.as_slice(), "vertex {v}");
+                    external_edges += expected.len();
+                }
+            }
+        }
+        assert!(external_edges > 0);
+
+        // A `None` cluster is a singleton: two unclustered vertices never
+        // share one, even when adjacent, and a clustered one shares its
+        // own only.
+        let g = generators::cycle(4);
+        let split = ClusterSplit::new(&g, vec![None, None, Some(0), Some(0)]);
+        assert!(!split.same_cluster(NodeId(0), NodeId(1)));
+        assert!(!split.same_cluster(NodeId(0), NodeId(0)));
+        assert!(split.same_cluster(NodeId(2), NodeId(3)));
+        assert!(!split.same_cluster(NodeId(3), NodeId(0)));
+        assert_eq!(split.external(NodeId(0)), [NodeId(1), NodeId(3)]);
+        assert_eq!(split.external(NodeId(2)), [NodeId(1)]);
     }
 
     #[test]

@@ -1,26 +1,17 @@
-//! benchdiff — compare two JSON reports case-by-case and gate on
+//! benchdiff — compare two bench reports case-by-case and gate on
 //! regressions.
 //!
 //! ```text
 //! benchdiff ci/baselines/BENCH_executors.smoke.json BENCH_executors.json
-//! benchdiff --threshold 0 ci/baselines/metrics.smoke.json metrics.json
 //! benchdiff --threshold 200 --summary base.json cand.json
 //! ```
 //!
-//! Understands both report families this workspace writes:
-//!
-//! - **Bench reports** (`BENCH_executors.json`, written by the `--json`
-//!   flag of the executors bench): every object inside a sequence that
-//!   carries a `mean_ns` field is a case; its key is the containing
-//!   field plus the identifying scalar fields
-//!   (`cases/topology=clique,n=2000,executor=message,variant=seq`), and
-//!   its value is `mean_ns`.
-//! - **Metrics snapshots** (written by `delta-color --metrics-out`):
-//!   counters, watermarks, and `worker_units_total` are compared by
-//!   name. Timing metrics (names ending `_ns`) and the per-worker lane
-//!   table are skipped — they are not deterministic, so a diff would be
-//!   pure noise; what remains must match exactly across runs of the
-//!   same seed at any thread count.
+//! A bench report (`BENCH_executors.json`, written by the `--json` flag of
+//! the executors bench) holds cases: every object inside a sequence that
+//! carries a `mean_ns` field is one. Its key is the containing field plus
+//! the identifying scalar fields
+//! (`cases/topology=clique,n=2000,executor=message,variant=seq`), and its
+//! value is `mean_ns`.
 //!
 //! A case **regresses** when `candidate / baseline > 1 + threshold/100`
 //! (default threshold 10%). Exit codes: `0` no regressions, `1` at
@@ -184,39 +175,12 @@ fn scalar(v: &Value) -> Option<f64> {
     }
 }
 
-/// Flattens a report into `case key -> value`. Metrics snapshots (maps
-/// with `counters` and `histograms`) use the deterministic metric names;
-/// anything else is scanned for bench cases carrying `mean_ns`.
+/// Flattens a report into `case key -> value`: every bench case carrying
+/// `mean_ns`.
 fn extract(report: &Value) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
-    if report.field("counters").is_ok() && report.field("histograms").is_ok() {
-        collect_metrics(report, &mut out);
-    } else {
-        collect_cases("", report, &mut out);
-    }
+    collect_cases("", report, &mut out);
     out
-}
-
-/// Deterministic slice of a `--metrics-out` snapshot: counters and
-/// watermarks not ending in `_ns`, plus `worker_units_total`.
-fn collect_metrics(report: &Value, out: &mut BTreeMap<String, f64>) {
-    for section in ["counters", "watermarks"] {
-        if let Ok(Value::Map(entries)) = report.field(section) {
-            for (name, v) in entries {
-                if name.ends_with("_ns") {
-                    continue;
-                }
-                if let Some(x) = scalar(v) {
-                    out.insert(format!("{section}.{name}"), x);
-                }
-            }
-        }
-    }
-    if let Ok(v) = report.field("worker_units_total") {
-        if let Some(x) = scalar(v) {
-            out.insert("worker_units_total".to_string(), x);
-        }
-    }
 }
 
 /// Walks a bench report: a map object inside any sequence that carries
@@ -392,39 +356,6 @@ mod tests {
         let unversioned = Value::Map(vec![("cases".to_string(), Value::Seq(vec![]))]);
         assert!(check_schema(&v1, &unversioned).is_ok());
         assert!(check_schema(&v2, &unversioned).is_err());
-    }
-
-    #[test]
-    fn metrics_snapshots_compare_deterministic_names_only() {
-        let snap = |rounds: u64| {
-            Value::Map(vec![
-                ("schema_version".to_string(), Value::U64(1)),
-                (
-                    "counters".to_string(),
-                    Value::Map(vec![
-                        ("exec.rounds".to_string(), Value::U64(rounds)),
-                        ("pool.spawn_ns".to_string(), Value::U64(123456)),
-                    ]),
-                ),
-                (
-                    "watermarks".to_string(),
-                    Value::Map(vec![("exec.live_peak".to_string(), Value::U64(2000))]),
-                ),
-                ("histograms".to_string(), Value::Map(vec![])),
-                ("worker_units_total".to_string(), Value::U64(64)),
-            ])
-        };
-        let cases = extract(&snap(813));
-        assert_eq!(cases.len(), 3, "timing counter excluded: {cases:?}");
-        assert_eq!(cases["counters.exec.rounds"], 813.0);
-        assert_eq!(cases["watermarks.exec.live_peak"], 2000.0);
-        assert_eq!(cases["worker_units_total"], 64.0);
-        // Identical deterministic snapshots diff clean at threshold 0.
-        let diff = compare(&cases, &extract(&snap(813)), 0.0);
-        assert!(diff.rows.iter().all(|r| !r.regressed));
-        // A behavior change is caught even at a generous threshold.
-        let diff = compare(&cases, &extract(&snap(2000)), 100.0);
-        assert!(diff.rows.iter().any(|r| r.regressed));
     }
 
     #[test]

@@ -78,9 +78,9 @@ pub fn classify_cliques(
     let mut heg_ids = Vec::new();
     for &cid in &hard_ids {
         let all_have = acd.cliques[cid as usize].vertices.iter().all(|&v| {
-            g.neighbors(v)
-                .iter()
-                .any(|&w| is_hard_vertex[w.index()] && acd.clique_of[w.index()] != Some(cid))
+            acd.clique_of
+                .first_external_in(v, &is_hard_vertex)
+                .is_some()
         });
         if all_have {
             heg_ids.push(cid);
@@ -121,11 +121,7 @@ fn verify_lemma9(
                 )));
             }
         }
-        let outside = g
-            .neighbors(u)
-            .iter()
-            .filter(|w| acd.clique_of[w.index()] != Some(cid))
-            .count();
+        let outside = acd.clique_of.external(u).len();
         if outside != e_c {
             return Err(DeltaColoringError::UnsupportedStructure(format!(
                 "vertex {u} of hard clique {cid} has {outside} external neighbors, expected {e_c}"
@@ -135,10 +131,7 @@ fn verify_lemma9(
     // (3): outsiders with two neighbors inside.
     let mut seen: std::collections::HashMap<NodeId, NodeId> = std::collections::HashMap::new();
     for &u in vertices {
-        for &w in g.neighbors(u) {
-            if acd.clique_of[w.index()] == Some(cid) {
-                continue;
-            }
+        for &w in acd.clique_of.external(u) {
             if let Some(prev) = seen.insert(w, u) {
                 return Err(DeltaColoringError::UnsupportedStructure(format!(
                     "outside vertex {w} neighbors both {prev} and {u} in hard clique {cid}"

@@ -33,7 +33,7 @@ use crate::deterministic::{det_phase_classification, run_hard_phases, PipelineSt
 use crate::easy::color_easy_and_loopholes_scoped;
 use crate::error::DeltaColoringError;
 use crate::loophole::Loophole;
-use crate::phase4::run_list_instance;
+use crate::phase4::{can_stall, run_list_instance};
 use crate::randomized::RandConfig;
 
 /// Statistics of a sparse+dense run.
@@ -201,29 +201,25 @@ pub fn color_sparse_dense_probed(
     // Stall assistance: a Type-II clique stalls on an uncolored non-hard
     // neighbor; if a candidate's outside neighbors were all trial-colored,
     // un-color one that owns permanent slack itself.
-    let with_ext_hard = |v: NodeId| {
-        g.neighbors(v).iter().any(|&w| {
-            cls.is_hard_vertex[w.index()] && acd.clique_of[w.index()] != acd.clique_of[v.index()]
-        })
-    };
     ledger.span("pipeline/stall assistance", |l| {
         for &cid in &cls.hard_ids {
             if cls.heg_ids.contains(&cid) {
                 continue;
             }
             let members = &acd.cliques[cid as usize].vertices;
-            let has_stall = members.iter().any(|&v| {
-                !with_ext_hard(v)
-                    && g.neighbors(v)
-                        .iter()
-                        .any(|&w| !cls.is_hard_vertex[w.index()] && !coloring.is_colored(w))
-            });
-            if has_stall {
+            if members
+                .iter()
+                .any(|&v| can_stall(g, &acd, &cls, &coloring, v))
+            {
                 continue;
             }
             // Find a member + colored sparse neighbor with its own slack.
             let assist = members.iter().find_map(|&v| {
-                if with_ext_hard(v) {
+                if acd
+                    .clique_of
+                    .first_external_in(v, &cls.is_hard_vertex)
+                    .is_some()
+                {
                     return None;
                 }
                 g.neighbors(v).iter().copied().find(|&w| {

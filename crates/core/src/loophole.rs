@@ -9,6 +9,7 @@
 //! [ERT79]); [`brute_force_color_loophole`] finds it by backtracking over
 //! degree-truncated palettes.
 
+use acd::ClusterSplit;
 use graphgen::{Color, Coloring, Graph, NodeId};
 use serde::{Deserialize, Serialize};
 
@@ -59,23 +60,24 @@ impl LoopholeReport {
 
 /// Detects, for every vertex, one loophole containing it (if any).
 ///
-/// `cluster_of[v]` is the vertex's almost-clique id (used to organize the
-/// search; `None` entries are treated as their own singleton cluster).
+/// `clusters` (the ACD's `acd.clique_of`) organizes the search. Its
+/// [`ClusterSplit`] is the one owner of which edges are external and of
+/// the rule that a `None` cluster is its own singleton.
 /// The search covers: low-degree vertices; all non-clique 4-cycles
 /// (inside clusters via non-adjacent co-members, across clusters via
 /// external edges); and non-clique 6-cycles visible through a vertex with
 /// two external edges (the pattern Lemma 10's proof relies on).
-pub fn detect_loopholes(g: &Graph, cluster_of: &[Option<u32>]) -> LoopholeReport {
-    detect_with(g, cluster_of, external_four_cycles)
+pub fn detect_loopholes(g: &Graph, clusters: &ClusterSplit) -> LoopholeReport {
+    detect_with(g, clusters, external_four_cycles)
 }
 
 /// Case 3's search: votes for the non-clique 4-cycles through an
 /// external edge.
-type Case3 = fn(&Graph, &[Option<u32>], &mut [Option<Loophole>]);
+type Case3 = fn(&Graph, &ClusterSplit, &mut [Option<Loophole>]);
 
 /// [`detect_loopholes`] with its case 3 supplied, so tests can compare
 /// the search against a reference.
-fn detect_with(g: &Graph, cluster_of: &[Option<u32>], case3: Case3) -> LoopholeReport {
+fn detect_with(g: &Graph, split: &ClusterSplit, case3: Case3) -> LoopholeReport {
     let n = g.n();
     let delta = g.max_degree();
     let mut vote: Vec<Option<Loophole>> = vec![None; n];
@@ -88,7 +90,7 @@ fn detect_with(g: &Graph, cluster_of: &[Option<u32>], case3: Case3) -> LoopholeR
     }
 
     // Cluster member lists.
-    let num_clusters = cluster_of
+    let num_clusters = split
         .iter()
         .flatten()
         .copied()
@@ -96,7 +98,7 @@ fn detect_with(g: &Graph, cluster_of: &[Option<u32>], case3: Case3) -> LoopholeR
         .map_or(0, |m| m as usize + 1);
     let mut members: Vec<Vec<NodeId>> = vec![Vec::new(); num_clusters];
     for v in g.vertices() {
-        if let Some(c) = cluster_of[v.index()] {
+        if let Some(c) = split[v.index()] {
             members[c as usize].push(v);
         }
     }
@@ -117,20 +119,15 @@ fn detect_with(g: &Graph, cluster_of: &[Option<u32>], case3: Case3) -> LoopholeR
         }
     }
 
-    case3(g, cluster_of, &mut vote);
+    case3(g, split, &mut vote);
 
     // Case 4: 6-cycles via a wedge of two external edges x–v–y plus a path
     // of length 4 from x to y with no two consecutive intra-cluster edges.
     for v in g.vertices() {
-        let ext: Vec<NodeId> = g
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&w| !same_cluster(cluster_of, v, w))
-            .collect();
+        let ext = split.external(v);
         for (i, &x) in ext.iter().enumerate() {
             for &y in &ext[i + 1..] {
-                if let Some(mut path) = six_cycle_path(g, cluster_of, x, y, v) {
+                if let Some(mut path) = six_cycle_path(g, split, x, y, v) {
                     let mut cyc = vec![v];
                     cyc.append(&mut path);
                     if !graphgen::analysis::is_clique(g, &cyc) {
@@ -147,11 +144,6 @@ fn detect_with(g: &Graph, cluster_of: &[Option<u32>], case3: Case3) -> LoopholeR
     }
 }
 
-/// Whether `a` and `b` share an almost-clique (`None` is a singleton).
-fn same_cluster(cluster_of: &[Option<u32>], a: NodeId, b: NodeId) -> bool {
-    cluster_of[a.index()].is_some() && cluster_of[a.index()] == cluster_of[b.index()]
-}
-
 /// Votes `lh` for each of its vertices that has no vote yet.
 fn assign(vote: &mut [Option<Loophole>], lh: Loophole) {
     for v in lh.vertices() {
@@ -161,40 +153,35 @@ fn assign(vote: &mut [Option<Loophole>], lh: Loophole) {
     }
 }
 
-/// Case 3: 4-cycles through an external edge u–v: u, v, x ∈ N(v), and the
-/// first common neighbor w ≠ v of u and x that closes a non-clique cycle.
-/// `N(u)` is marked once per `u` (stamp `u`), so scanning `N(x)` in
+/// Case 3: 4-cycles through an external edge u–v (u < v): x ∈ N(v), and
+/// the first common neighbor w ≠ v of u and x that closes a non-clique
+/// cycle. `N(u)` is marked once per `u` (stamp `u`), so scanning `N(x)` in
 /// ascending order for marked vertices visits the common neighbors in the
 /// order a sorted merge lists them, with no allocation per triple.
-fn external_four_cycles(g: &Graph, cluster_of: &[Option<u32>], vote: &mut [Option<Loophole>]) {
+fn external_four_cycles(g: &Graph, split: &ClusterSplit, vote: &mut [Option<Loophole>]) {
     let mut in_nu: Vec<u32> = vec![u32::MAX; g.n()];
-    for u in g.vertices() {
-        let mut marked = false;
-        for &v in g.neighbors(u) {
-            if same_cluster(cluster_of, u, v) || u > v {
+    let mut marked = None;
+    for (u, v) in split.external_edges() {
+        if marked != Some(u) {
+            for &w in g.neighbors(u) {
+                in_nu[w.index()] = u.0;
+            }
+            marked = Some(u);
+        }
+        for &x in g.neighbors(v) {
+            if x == u {
                 continue;
             }
-            if !marked {
-                for &w in g.neighbors(u) {
-                    in_nu[w.index()] = u.0;
-                }
-                marked = true;
-            }
-            for &x in g.neighbors(v) {
-                if x == u {
-                    continue;
-                }
-                // The four vertices are distinct and the cycle's edges
-                // exist, so it is a clique iff both chords u–x and v–w do.
-                let ux = in_nu[x.index()] == u.0;
-                let w = g
-                    .neighbors(x)
-                    .iter()
-                    .copied()
-                    .find(|&w| w != v && in_nu[w.index()] == u.0 && !(ux && g.has_edge(v, w)));
-                if let Some(w) = w {
-                    assign(vote, Loophole::EvenCycle(vec![u, v, x, w]));
-                }
+            // The four vertices are distinct and the cycle's edges exist,
+            // so it is a clique iff both chords u–x and v–w do.
+            let ux = in_nu[x.index()] == u.0;
+            let w = g
+                .neighbors(x)
+                .iter()
+                .copied()
+                .find(|&w| w != v && in_nu[w.index()] == u.0 && !(ux && g.has_edge(v, w)));
+            if let Some(w) = w {
+                assign(vote, Loophole::EvenCycle(vec![u, v, x, w]));
             }
         }
     }
@@ -205,30 +192,31 @@ fn external_four_cycles(g: &Graph, cluster_of: &[Option<u32>], vote: &mut [Optio
 /// and be covered by the 4-cycle searches).
 fn six_cycle_path(
     g: &Graph,
-    cluster_of: &[Option<u32>],
+    split: &ClusterSplit,
     x: NodeId,
     y: NodeId,
     apex: NodeId,
 ) -> Option<Vec<NodeId>> {
-    let same = |a: NodeId, b: NodeId| same_cluster(cluster_of, a, b);
+    // An edge p–q of the graph is intra-cluster iff q is not external to p.
+    let intra = |p: NodeId, q: NodeId| split.external(p).binary_search(&q).is_err();
     for &a in g.neighbors(x) {
         if a == apex || a == y {
             continue;
         }
-        let xa_intra = same(x, a);
+        let xa_intra = intra(x, a);
         for &b in g.neighbors(a) {
             if b == apex || b == x || b == y {
                 continue;
             }
-            if xa_intra && same(a, b) {
+            if xa_intra && intra(a, b) {
                 continue;
             }
-            let ab_intra = same(a, b);
+            let ab_intra = intra(a, b);
             for &c in g.neighbors(b) {
                 if c == apex || c == x || c == a || c == y {
                     continue;
                 }
-                if ab_intra && same(b, c) {
+                if ab_intra && intra(b, c) {
                     continue;
                 }
                 if g.has_edge(c, y) {
@@ -318,21 +306,29 @@ mod tests {
     use super::*;
     use graphgen::generators;
 
-    fn no_clusters(n: usize) -> Vec<Option<u32>> {
-        vec![None; n]
+    fn no_clusters(g: &Graph) -> ClusterSplit {
+        ClusterSplit::new(g, vec![None; g.n()])
+    }
+
+    /// The generator's own cliques as the cluster map.
+    fn planted_clusters(inst: &generators::HardCliqueInstance) -> ClusterSplit {
+        let clusters: Vec<Option<u32>> = inst.clique_of.iter().map(|&c| Some(c)).collect();
+        ClusterSplit::new(&inst.graph, clusters)
     }
 
     /// The merge-based case 3 that [`external_four_cycles`] replaced: a
     /// `common_neighbors` Vec per (u, v, x) and an `is_clique` check per
-    /// candidate w.
+    /// candidate w. It compares the raw cluster map itself, so it does
+    /// not depend on the split's external lists it is checked against.
     fn external_four_cycles_by_merge(
         g: &Graph,
-        cluster_of: &[Option<u32>],
+        split: &ClusterSplit,
         vote: &mut [Option<Loophole>],
     ) {
         for u in g.vertices() {
             for &v in g.neighbors(u) {
-                if same_cluster(cluster_of, u, v) || u > v {
+                let (cu, cv) = (split[u.index()], split[v.index()]);
+                if (cu.is_some() && cu == cv) || u > v {
                     continue;
                 }
                 for &x in g.neighbors(v) {
@@ -389,7 +385,7 @@ mod tests {
         let mut case3_votes = 0;
         for (name, g) in &graphs {
             let acd = compute_acd(g, &AcdParams::for_delta(g.max_degree()));
-            for (clusters, cl) in [("acd", acd.clique_of), ("none", no_clusters(g.n()))] {
+            for (clusters, cl) in [("acd", acd.clique_of), ("none", no_clusters(g))] {
                 let fast = detect_loopholes(g, &cl);
                 let reference = detect_with(g, &cl, external_four_cycles_by_merge);
                 assert_eq!(fast.vote, reference.vote, "{name}, {clusters} clusters");
@@ -409,7 +405,7 @@ mod tests {
     #[test]
     fn low_degree_detected() {
         let g = generators::star(4); // leaves have degree 1 < Δ=4
-        let rep = detect_loopholes(&g, &no_clusters(5));
+        let rep = detect_loopholes(&g, &no_clusters(&g));
         assert!(rep.is_loophole_vertex(NodeId(1)));
         // The center has degree Δ and lies on no even cycle: not a loophole.
         assert!(!rep.is_loophole_vertex(NodeId(0)));
@@ -419,7 +415,7 @@ mod tests {
     fn four_cycle_detected() {
         // C4 is 2-regular: no low-degree vertices; it is its own loophole.
         let g = generators::cycle(4);
-        let rep = detect_loopholes(&g, &no_clusters(4));
+        let rep = detect_loopholes(&g, &no_clusters(&g));
         for v in g.vertices() {
             assert!(rep.is_loophole_vertex(v), "{v}");
             assert!(matches!(rep.vote[v.index()], Some(Loophole::EvenCycle(_))));
@@ -430,15 +426,14 @@ mod tests {
     fn clique_has_no_loopholes() {
         let g = generators::complete(6);
         // K6: Δ = 5, all degrees Δ; every 4-cycle is inside the clique.
-        let clusters = vec![Some(0); 6];
-        let rep = detect_loopholes(&g, &clusters);
+        let rep = detect_loopholes(&g, &ClusterSplit::new(&g, vec![Some(0); 6]));
         assert_eq!(rep.count(), 0);
     }
 
     #[test]
     fn odd_cycle_not_a_loophole() {
         let g = generators::cycle(5);
-        let rep = detect_loopholes(&g, &no_clusters(5));
+        let rep = detect_loopholes(&g, &no_clusters(&g));
         assert_eq!(rep.count(), 0, "C5 is 2-regular and has no even cycle");
     }
 
@@ -451,8 +446,7 @@ mod tests {
             seed: 11,
         })
         .unwrap();
-        let clusters: Vec<Option<u32>> = inst.clique_of.iter().map(|&c| Some(c)).collect();
-        let rep = detect_loopholes(&inst.graph, &clusters);
+        let rep = detect_loopholes(&inst.graph, &planted_clusters(&inst));
         assert_eq!(
             rep.count(),
             0,
@@ -473,8 +467,7 @@ mod tests {
             kind: generators::LoopholeKind::LowDegree,
         })
         .unwrap();
-        let clusters: Vec<Option<u32>> = inst.clique_of.iter().map(|&c| Some(c)).collect();
-        let rep = detect_loopholes(&inst.graph, &clusters);
+        let rep = detect_loopholes(&inst.graph, &planted_clusters(&inst));
         assert!(
             rep.count() >= 4,
             "two deleted edges give four low-degree vertices"
@@ -500,8 +493,7 @@ mod tests {
             kind: generators::LoopholeKind::FourCycle,
         })
         .unwrap();
-        let clusters: Vec<Option<u32>> = inst.clique_of.iter().map(|&c| Some(c)).collect();
-        let rep = detect_loopholes(&inst.graph, &clusters);
+        let rep = detect_loopholes(&inst.graph, &planted_clusters(&inst));
         assert!(
             rep.count() >= 4,
             "a planted 4-cycle has at least 4 loophole vertices"

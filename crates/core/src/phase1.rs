@@ -89,14 +89,9 @@ pub fn balanced_matching(
         to_sub[v.index()] = i as u32;
     }
     let mut match_edges = Vec::new();
-    for &v in &hard_vertices {
-        for &w in g.neighbors(v) {
-            if v < w
-                && cls.is_hard_vertex[w.index()]
-                && acd.clique_of[v.index()] != acd.clique_of[w.index()]
-            {
-                match_edges.push((to_sub[v.index()], to_sub[w.index()]));
-            }
+    for (v, w) in acd.clique_of.external_edges() {
+        if cls.is_hard_vertex[v.index()] && cls.is_hard_vertex[w.index()] {
+            match_edges.push((to_sub[v.index()], to_sub[w.index()]));
         }
     }
     let hgraph =
@@ -167,17 +162,9 @@ pub fn balanced_matching(
             let proxy = if f1_of[v.index()].is_some() {
                 v
             } else {
-                // Minimum-uid external hard neighbor; maximality of F1
-                // guarantees it is matched.
-                let candidate = g
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&w| {
-                        cls.is_hard_vertex[w.index()] && acd.clique_of[w.index()] != Some(cid)
-                    })
-                    .min()
-                    .copied();
-                match candidate {
+                // Minimum-uid (first) external hard neighbor; maximality
+                // of F1 guarantees it is matched.
+                match acd.clique_of.first_external_in(v, &cls.is_hard_vertex) {
                     Some(u) => u,
                     None if allow_useless => continue, // a "useless" vertex (§4)
                     None => {

@@ -136,24 +136,11 @@ pub fn color_hard_cliques_phase4(
         if with_triad.contains(&cid) {
             continue;
         }
-        // A stall candidate has no external hard neighbor to propose with
-        // AND an uncolored non-hard neighbor that is colored after it
-        // (easy-clique vertices in Algorithm 1; easy-like or deferred
-        // vertices in the randomized component solve) — that neighbor is
-        // its slack source in instance 2.
         let stall = acd.cliques[cid as usize]
             .vertices
             .iter()
             .copied()
-            .find(|&v| {
-                triads.triad_of[v.index()].is_none()
-                    && !g.neighbors(v).iter().any(|&w| {
-                        cls.is_hard_vertex[w.index()] && acd.clique_of[w.index()] != Some(cid)
-                    })
-                    && g.neighbors(v)
-                        .iter()
-                        .any(|&w| !cls.is_hard_vertex[w.index()] && !coloring.is_colored(w))
-            });
+            .find(|&v| triads.triad_of[v.index()].is_none() && can_stall(g, acd, cls, coloring, v));
         let Some(stall) = stall else {
             return Err(DeltaColoringError::InvariantViolated(format!(
                 "Type II clique {cid} has no stall candidate with an uncolored \
@@ -182,6 +169,26 @@ pub fn color_hard_cliques_phase4(
     run_list_instance(g, &inst2, delta, coloring, "phase4b/instance 2", ledger)?;
 
     Ok(stats)
+}
+
+/// Whether hard vertex `v` can be a stall candidate: it has no external
+/// hard neighbor to propose with AND an uncolored non-hard neighbor that
+/// is colored after it (easy-clique vertices in Algorithm 1; easy-like or
+/// deferred vertices in the randomized component solve), which is its
+/// slack source in instance 2.
+pub(crate) fn can_stall(
+    g: &Graph,
+    acd: &AcdResult,
+    cls: &Classification,
+    coloring: &Coloring,
+    v: NodeId,
+) -> bool {
+    acd.clique_of
+        .first_external_in(v, &cls.is_hard_vertex)
+        .is_none()
+        && g.neighbors(v)
+            .iter()
+            .any(|&w| !cls.is_hard_vertex[w.index()] && !coloring.is_colored(w))
 }
 
 /// Runs one `(deg+1)`-list instance over `active` with palettes = free

@@ -238,7 +238,7 @@ pub(crate) fn rand_phase_preshatter(
     shatter: &mut ShatterStats,
 ) -> (Vec<NodeId>, Vec<Option<usize>>) {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let clique_graph = build_clique_graph(g, acd, cls);
+    let clique_graph = build_clique_graph(acd, cls);
     let proposers: Vec<u32> = cls
         .hard_ids
         .iter()
@@ -255,11 +255,8 @@ pub(crate) fn rand_phase_preshatter(
         let members = &acd.cliques[cid as usize].vertices;
         let mut triad = None;
         'search: for &u in members {
-            for &w in g.neighbors(u) {
-                if !cls.is_hard_vertex[w.index()]
-                    || acd.clique_of[w.index()] == Some(cid)
-                    || coloring.is_colored(w)
-                {
+            for &w in acd.clique_of.external(u) {
+                if !cls.is_hard_vertex[w.index()] || coloring.is_colored(w) {
                     continue;
                 }
                 if let Some(&v) = members.iter().find(|&&v| v != u && !g.has_edge(v, w)) {
@@ -653,13 +650,11 @@ pub(crate) fn rand_phase_easy(
 }
 
 /// Adjacency graph of hard cliques (an edge when any member edge crosses).
-fn build_clique_graph(g: &Graph, acd: &AcdResult, cls: &Classification) -> Graph {
+fn build_clique_graph(acd: &AcdResult, cls: &Classification) -> Graph {
     let mut edges = Vec::new();
-    for (u, v) in g.edges() {
-        let (cu, cv) = (acd.clique_of[u.index()], acd.clique_of[v.index()]);
-        if let (Some(a), Some(b)) = (cu, cv) {
-            if a != b
-                && cls.kinds[a as usize] == CliqueKind::Hard
+    for (u, v) in acd.clique_of.external_edges() {
+        if let (Some(a), Some(b)) = (acd.clique_of[u.index()], acd.clique_of[v.index()]) {
+            if cls.kinds[a as usize] == CliqueKind::Hard
                 && cls.kinds[b as usize] == CliqueKind::Hard
             {
                 edges.push((a.min(b), a.max(b)));
@@ -813,9 +808,10 @@ fn solve_component(
         let mut sub_ok = vec![false; k];
         for (j, &v) in members.iter().enumerate() {
             let part = j * k / members.len();
-            if g.neighbors(v)
-                .iter()
-                .any(|&w| is_scope_hard_vertex[w.index()] && acd.clique_of[w.index()] != Some(cid))
+            if acd
+                .clique_of
+                .first_external_in(v, &is_scope_hard_vertex)
+                .is_some()
             {
                 sub_ok[part] = true;
             }
@@ -1019,15 +1015,12 @@ pub(crate) fn color_large_delta(
             if used[u.index()] {
                 continue;
             }
-            let externals: Vec<NodeId> = g
-                .neighbors(u)
+            let externals: Vec<NodeId> = acd
+                .clique_of
+                .external(u)
                 .iter()
                 .copied()
-                .filter(|&w| {
-                    cls.is_hard_vertex[w.index()]
-                        && acd.clique_of[w.index()] != Some(cid)
-                        && !used[w.index()]
-                })
+                .filter(|&w| cls.is_hard_vertex[w.index()] && !used[w.index()])
                 .collect();
             if externals.is_empty() {
                 continue;

@@ -31,7 +31,7 @@ fn clique_clusters(acd: &AcdResult, out: &mut String, highlight: impl Fn(NodeId)
 /// Figure 2: cliques as clusters, slack vertices checkered, slack pairs
 /// boxed, pair/slack edges highlighted. Intra-clique edges are omitted for
 /// legibility (every clique is complete).
-pub fn render_triads(g: &Graph, acd: &AcdResult, triads: &TriadSet) -> String {
+pub fn render_triads(acd: &AcdResult, triads: &TriadSet) -> String {
     let mut out = String::from("graph slack_triads {\n  node [shape=circle, fontsize=9];\n");
     let style = |v: NodeId| -> String {
         for t in &triads.triads {
@@ -56,10 +56,7 @@ pub fn render_triads(g: &Graph, acd: &AcdResult, triads: &TriadSet) -> String {
             ]
         })
         .collect();
-    for (u, v) in g.edges() {
-        if acd.clique_of[u.index()] == acd.clique_of[v.index()] {
-            continue;
-        }
+    for (u, v) in acd.clique_of.external_edges() {
         let attr = if triad_edges.contains(&(u, v)) {
             " [color=orange, penwidth=2.5]"
         } else {
@@ -113,14 +110,11 @@ pub fn render_pair_graph(g: &Graph, triads: &TriadSet) -> String {
 
 /// Figure 4: the balanced matching — cliques as clusters, oriented `F2`
 /// edges in green.
-pub fn render_matching(g: &Graph, acd: &AcdResult, f2: &BalancedMatching) -> String {
+pub fn render_matching(acd: &AcdResult, f2: &BalancedMatching) -> String {
     let mut out = String::from("digraph balanced_matching {\n  node [shape=circle, fontsize=9];\n  edge [dir=none, color=gray80];\n");
     clique_clusters(acd, &mut out, |_| "style=solid".to_string());
     let f2_set: std::collections::HashSet<(NodeId, NodeId)> = f2.edges.iter().copied().collect();
-    for (u, v) in g.edges() {
-        if acd.clique_of[u.index()] == acd.clique_of[v.index()] {
-            continue;
-        }
+    for (u, v) in acd.clique_of.external_edges() {
         if f2_set.contains(&(u, v)) {
             let _ = writeln!(
                 out,
@@ -186,8 +180,8 @@ mod tests {
 
     #[test]
     fn triad_figure_mentions_all_triads() {
-        let (g, acd, _, triads) = setup();
-        let dot = render_triads(&g, &acd, &triads);
+        let (_, acd, _, triads) = setup();
+        let dot = render_triads(&acd, &triads);
         assert!(dot.starts_with("graph slack_triads"));
         assert!(dot.matches("fillcolor=orange").count() >= 2 * triads.triads.len());
         assert!(dot.matches("doublecircle").count() == triads.triads.len());
@@ -203,8 +197,8 @@ mod tests {
 
     #[test]
     fn matching_figure_orients_f2() {
-        let (g, acd, f2, _) = setup();
-        let dot = render_matching(&g, &acd, &f2);
+        let (_, acd, f2, _) = setup();
+        let dot = render_matching(&acd, &f2);
         assert_eq!(dot.matches("color=green").count(), f2.edges.len());
     }
 }

@@ -270,7 +270,7 @@ pub fn validate_coloring(g: &Graph, coloring: &Coloring, palette: u32) -> Valida
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acd::{compute_acd, AcdParams};
+    use acd::{compute_acd, AcdParams, ClusterSplit};
     use graphgen::generators::{hard_cliques, HardCliqueParams};
     use graphgen::Color;
 
@@ -347,7 +347,9 @@ mod tests {
         assert!(check_acd(&inst.graph, &acd).is_empty());
         // Corrupt membership: point one vertex at the wrong clique.
         let v = acd.cliques[0].vertices[0];
-        acd.clique_of[v.index()] = Some((acd.cliques.len() - 1) as u32);
+        let mut clique_of = acd.clique_of.to_vec();
+        clique_of[v.index()] = Some((acd.cliques.len() - 1) as u32);
+        acd.clique_of = ClusterSplit::new(&inst.graph, clique_of);
         assert!(!check_acd(&inst.graph, &acd).is_empty());
     }
 

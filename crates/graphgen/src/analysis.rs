@@ -204,64 +204,3 @@ mod tests {
         assert!(!is_regular(&Graph::from_edges(3, [(0, 1)]).unwrap(), 1));
     }
 }
-
-/// Degree histogram: `hist[d]` = number of vertices of degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Global clustering coefficient: `3·triangles / wedges` (0 for wedge-free
-/// graphs). Dense almost-clique graphs sit near 1; sparse regions near 0 —
-/// a quick diagnostic matching the ACD's sparse/dense split.
-pub fn clustering_coefficient(g: &Graph) -> f64 {
-    let mut closed = 0u64;
-    let mut wedges = 0u64;
-    for v in g.vertices() {
-        let nbrs = g.neighbors(v);
-        for (i, &a) in nbrs.iter().enumerate() {
-            for &b in &nbrs[i + 1..] {
-                wedges += 1;
-                if g.has_edge(a, b) {
-                    closed += 1;
-                }
-            }
-        }
-    }
-    if wedges == 0 {
-        0.0
-    } else {
-        closed as f64 / wedges as f64
-    }
-}
-
-#[cfg(test)]
-mod metric_tests {
-    use super::*;
-
-    #[test]
-    fn histogram_counts() {
-        let g = crate::generators::star(4);
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 4);
-        assert_eq!(h[4], 1);
-    }
-
-    #[test]
-    fn clustering_extremes() {
-        assert!((clustering_coefficient(&crate::generators::complete(6)) - 1.0).abs() < 1e-9);
-        assert_eq!(clustering_coefficient(&crate::generators::cycle(8)), 0.0);
-        // Hard clique instances are overwhelmingly clustered.
-        let inst = crate::generators::hard_cliques(&crate::generators::HardCliqueParams {
-            cliques: 34,
-            delta: 16,
-            external_per_vertex: 1,
-            seed: 1,
-        })
-        .unwrap();
-        assert!(clustering_coefficient(&inst.graph) > 0.8);
-    }
-}

@@ -41,18 +41,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Grows the vertex set to at least `n` vertices.
-    pub fn ensure_vertices(&mut self, n: usize) {
-        self.n = self.n.max(n);
-    }
-
-    /// Adds vertices and returns the index of the first new vertex.
-    pub fn add_vertices(&mut self, count: usize) -> NodeId {
-        let first = self.n;
-        self.n += count;
-        NodeId::from(first)
-    }
-
     /// Records the undirected edge `{a, b}`. Duplicates collapse at build.
     pub fn add_edge(&mut self, a: impl Into<NodeId>, b: impl Into<NodeId>) {
         let (a, b) = (a.into().0, b.into().0);
@@ -73,12 +61,6 @@ impl GraphBuilder {
         for (u, v) in g.edges() {
             self.add_edge(u.0 + offset, v.0 + offset);
         }
-    }
-
-    /// Whether the edge has already been recorded (linear scan; test use).
-    pub fn contains_edge(&self, a: u32, b: u32) -> bool {
-        let key = (a.min(b), a.max(b));
-        self.edges.contains(&key)
     }
 
     /// Finalizes the accumulated edges into a [`Graph`].
@@ -128,13 +110,5 @@ mod tests {
         let mut b = GraphBuilder::new(2);
         b.add_edge(1u32, 1u32);
         assert!(matches!(b.build(), Err(GraphError::SelfLoop(1))));
-    }
-
-    #[test]
-    fn add_vertices_returns_first() {
-        let mut b = GraphBuilder::new(2);
-        let first = b.add_vertices(3);
-        assert_eq!(first, NodeId(2));
-        assert_eq!(b.n(), 5);
     }
 }

@@ -164,7 +164,7 @@ impl Coloring {
     }
 
     /// Colors already used on the neighbors of `v` in `g`.
-    pub fn neighbor_colors(&self, g: &Graph, v: NodeId) -> Vec<Color> {
+    pub(crate) fn neighbor_colors(&self, g: &Graph, v: NodeId) -> Vec<Color> {
         let mut out: Vec<Color> = g.neighbors(v).iter().filter_map(|&w| self.get(w)).collect();
         out.sort_unstable();
         out.dedup();

@@ -65,23 +65,6 @@ pub fn hypercube(d: usize) -> Graph {
     Graph::from_edges(n, edges).expect("hypercube is valid")
 }
 
-/// A `w × h` grid graph.
-pub fn grid(w: usize, h: usize) -> Graph {
-    let idx = |x: usize, y: usize| (y * w + x) as u32;
-    let mut edges = Vec::new();
-    for y in 0..h {
-        for x in 0..w {
-            if x + 1 < w {
-                edges.push((idx(x, y), idx(x + 1, y)));
-            }
-            if y + 1 < h {
-                edges.push((idx(x, y), idx(x, y + 1)));
-            }
-        }
-    }
-    Graph::from_edges(w * h, edges).expect("grid is valid")
-}
-
 /// A ring of `m` Δ-cliques: clique `k` is joined to clique `k+1 (mod m)`
 /// by a perfect matching on half of their vertices, making the graph
 /// Δ-regular with diameter `Θ(m)`.
@@ -226,15 +209,6 @@ mod tests {
         assert_eq!(h.n(), 16);
         assert!(analysis::is_regular(&h, 4));
         assert_eq!(analysis::girth(&h), Some(4));
-    }
-
-    #[test]
-    fn grid_degrees() {
-        let g = grid(3, 3);
-        assert_eq!(g.n(), 9);
-        assert_eq!(g.m(), 12);
-        assert_eq!(g.degree(NodeId(4)), 4); // center
-        assert_eq!(g.degree(NodeId(0)), 2); // corner
     }
 
     #[test]

@@ -109,11 +109,6 @@ pub struct HardCliqueInstance {
 }
 
 impl HardCliqueInstance {
-    /// The clique index of vertex `v`.
-    pub fn clique_index(&self, v: NodeId) -> usize {
-        self.clique_of[v.index()] as usize
-    }
-
     /// All edges whose endpoints lie in different cliques.
     pub fn external_edges(&self) -> Vec<(NodeId, NodeId)> {
         self.graph
@@ -311,7 +306,7 @@ fn kuhn_augment(
 /// # Errors
 ///
 /// Returns [`GraphError::InfeasibleParameters`] if `d >= half`.
-pub fn circulant_blueprint(half: usize, d: usize) -> Result<Vec<(u32, u32)>, GraphError> {
+pub(crate) fn circulant_blueprint(half: usize, d: usize) -> Result<Vec<(u32, u32)>, GraphError> {
     if d >= half {
         return Err(GraphError::InfeasibleParameters(format!(
             "circulant {d}-regular blueprint needs more than {d} cliques per side, got {half}"
@@ -1241,7 +1236,9 @@ mod tests {
             .collect();
         assert_eq!(low.len(), 6); // two per planted loophole
         for &v in &low {
-            assert!(inst.planted_easy.contains(&inst.clique_index(v)));
+            assert!(inst
+                .planted_easy
+                .contains(&(inst.clique_of[v.index()] as usize)));
         }
     }
 

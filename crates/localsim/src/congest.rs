@@ -48,9 +48,6 @@ use crate::exec::{RunResult, SimError};
 use crate::msg::{MessageExecutor, MessageProgram, MsgTransition, Outgoing};
 use crate::NodeCtx;
 
-/// Scope string under which [`CongestExecutor`] emits events.
-pub const CONGEST_SCOPE: &str = "congest";
-
 /// Bandwidth accounting for one round of a metered run.
 ///
 /// `width_hist` buckets message widths by powers of two: a message of

@@ -68,7 +68,7 @@ pub mod pool;
 pub mod shard;
 mod tally;
 
-pub use congest::{CongestError, CongestExecutor, CongestResult, RoundBits, CONGEST_SCOPE};
+pub use congest::{CongestError, CongestExecutor, CongestResult, RoundBits};
 pub use exec::{Executor, LocalAlgorithm, NodeCtx, RunResult, SimError, Transition, EXEC_SCOPE};
 pub use faults::FaultPlan;
 pub use ledger::{LedgerEntry, RoundLedger};
@@ -116,7 +116,7 @@ pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
 // Re-exported so simulator users can attach probes without naming the
 // telemetry crate explicitly.
 pub use telemetry::{
-    ChargeKind, Event, FanoutSink, FaultKind, FlightRecorder, Histogram, JsonlSink, LocalHistogram,
-    MetricCounter, MetricsHub, NullSink, Probe, RecordingSink, Sink, Watermark, WorkerLaneSnapshot,
+    ChargeKind, Event, FanoutSink, FaultKind, FlightRecorder, Histogram, JsonlSink, MetricCounter,
+    MetricsHub, NullSink, Probe, RecordingSink, Sink, Watermark, WorkerLaneSnapshot,
     METRICS_SCHEMA_VERSION,
 };

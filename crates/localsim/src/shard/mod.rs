@@ -32,4 +32,4 @@ pub use coord::{ChaosKill, ShardError, ShardedExecutor, WorkerBackend};
 pub use netfault::{Liveness, NetDir, NetFaultPlan, NET_DELAY};
 pub use proto::{Frame, GhostUpdates, PROTO_VERSION};
 pub use wire::{read_frame, write_frame, FrameMeter, FrameSeq, TxFault, MAX_FRAME};
-pub use worker::{serve, serve_connect, serve_connect_with, serve_with, DEFAULT_READ_TIMEOUT};
+pub use worker::{serve, serve_connect, serve_connect_with, DEFAULT_READ_TIMEOUT};

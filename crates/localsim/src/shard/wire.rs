@@ -140,14 +140,14 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 /// algorithm produced the state.
 #[inline]
 #[must_use]
-pub fn rot(state: u64) -> u64 {
+pub(crate) fn rot(state: u64) -> u64 {
     state.rotate_left(2)
 }
 
 /// Inverse of [`rot`].
 #[inline]
 #[must_use]
-pub fn unrot(wire: u64) -> u64 {
+pub(crate) fn unrot(wire: u64) -> u64 {
     wire.rotate_right(2)
 }
 

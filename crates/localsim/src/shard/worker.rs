@@ -105,7 +105,7 @@ fn orphaned(e: io::Error, read_timeout: Duration) -> io::Error {
 /// `read_timeout` (not even a heartbeat), the worker exits with a
 /// clear `TimedOut`/`WouldBlock` error naming the orphan condition
 /// instead of blocking forever on a vanished peer.
-pub fn serve_with(mut stream: TcpStream, read_timeout: Duration) -> io::Result<()> {
+pub(crate) fn serve_with(mut stream: TcpStream, read_timeout: Duration) -> io::Result<()> {
     stream.set_nodelay(true)?;
     if !read_timeout.is_zero() {
         stream.set_read_timeout(Some(read_timeout))?;

@@ -20,9 +20,6 @@
 //! * [`split`] — degree splitting (Lemma 21 / Corollary 22's role): Euler
 //!   partition into walks, even-length segment chopping via a ruling set on
 //!   the walk structure, and alternating 2-coloring.
-//! * [`netdecomp`] — Linial–Saks network decomposition and the
-//!   cluster-by-cluster solve driver (\[GG24\]'s role in the paper's
-//!   `Õ(log^{5/3} n)` branch; see DESIGN.md substitutions).
 //! * [`congest_coloring`] — a `(Δ+1)`-coloring with `O(log Δ)`-bit
 //!   messages, demonstrating the CONGEST metering (\[MU21\]/\[HM24\]'s model
 //!   in the related work).
@@ -39,7 +36,6 @@ pub mod linial;
 pub mod list_coloring;
 pub mod matching;
 pub mod mis;
-pub mod netdecomp;
 pub mod ruling;
 pub mod split;
 #[cfg(test)]

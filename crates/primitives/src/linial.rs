@@ -156,7 +156,7 @@ pub fn linial_coloring(
 /// # Errors
 ///
 /// Propagates simulator errors (round budget, bad uid vectors).
-pub fn linial_coloring_probed(
+pub(crate) fn linial_coloring_probed(
     g: &Graph,
     uids: Option<Vec<u64>>,
     probe: &Probe,
@@ -340,81 +340,6 @@ impl LocalAlgorithm for KwAlgo {
         }
         act as u64 + 1
     }
-}
-
-/// Reduces a proper coloring with colors `< space` to colors `< target`
-/// via the Kuhn–Wattenhofer parallel block reduction, in
-/// `O(target · log(space/target))` rounds.
-///
-/// `target` must be at least `Δ + 1`.
-///
-/// # Examples
-///
-/// ```
-/// use graphgen::NodeId;
-/// let g = graphgen::generators::cycle(50);
-/// // A wasteful proper coloring: color = vertex index.
-/// let start: Vec<u64> = (0..50).collect();
-/// let out = primitives::linial::reduce_coloring(&g, start, 50, 3)?;
-/// for (u, v) in g.edges() {
-///     assert_ne!(out.value[u.index()], out.value[v.index()]);
-/// }
-/// assert!(out.value.iter().all(|&c| c < 3));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Panics if `target <= Δ`, if a color is `>= space`, or if the input
-/// coloring is not proper (detected during the sweep).
-pub fn reduce_coloring(
-    g: &Graph,
-    colors: Vec<u64>,
-    space: u64,
-    target: u64,
-) -> Result<Timed<Vec<u64>>, SimError> {
-    reduce_coloring_probed(g, colors, space, target, &Probe::disabled())
-}
-
-/// [`reduce_coloring`] with per-round telemetry mirrored to `probe`.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-///
-/// # Panics
-///
-/// Same conditions as [`reduce_coloring`].
-pub fn reduce_coloring_probed(
-    g: &Graph,
-    colors: Vec<u64>,
-    space: u64,
-    target: u64,
-    probe: &Probe,
-) -> Result<Timed<Vec<u64>>, SimError> {
-    assert!(
-        target > g.max_degree() as u64,
-        "target palette must exceed Δ"
-    );
-    assert!(
-        colors.iter().all(|&c| c < space),
-        "colors must lie below the declared space"
-    );
-    if space <= target {
-        return Ok(Timed::new(colors, 0));
-    }
-    let rounds = kw_schedule(space, target);
-    let budget = rounds.len() as u64 + 1;
-    let algo = KwAlgo::new(rounds, colors);
-    let run = Executor::new(g)
-        .with_threads(localsim::default_threads())
-        .with_probe(probe.clone())
-        .run(&algo, budget)?;
-    Ok(Timed::new(run.outputs, run.rounds))
 }
 
 /// Computes a proper coloring with `Δ + 1` colors in

@@ -54,7 +54,7 @@ impl Matching {
 
 /// The line graph of `g`: one vertex per edge, adjacency = shared endpoint.
 /// Returns the line graph and the edge list indexing its vertices.
-pub fn line_graph(g: &Graph) -> (Graph, Vec<(NodeId, NodeId)>) {
+pub(crate) fn line_graph(g: &Graph) -> (Graph, Vec<(NodeId, NodeId)>) {
     let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
     let mut incident: Vec<Vec<u32>> = vec![Vec::new(); g.n()];
     for (i, &(u, v)) in edges.iter().enumerate() {
@@ -130,17 +130,9 @@ impl LocalAlgorithm for ClassSweepMatching {
 
 /// Deterministic maximal matching via an edge coloring (a vertex coloring
 /// of the line graph) whose classes are swept greedily;
-/// `O(Δ log Δ + log* n)` rounds. Rounds on the line graph cost one real
-/// round each (edge-incident messages).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn maximal_matching_det(g: &Graph) -> Result<Timed<Matching>, SimError> {
-    maximal_matching_det_probed(g, &Probe::disabled())
-}
-
-/// [`maximal_matching_det`] with per-round telemetry mirrored to `probe`.
+/// `O(Δ log Δ + log* n)` rounds, with per-round telemetry mirrored to
+/// `probe`. Rounds on the line graph cost one real round each
+/// (edge-incident messages).
 ///
 /// # Errors
 ///
@@ -559,7 +551,7 @@ mod tests {
             generators::random_regular(80, 5, 6),
             generators::star(9),
         ] {
-            let out = maximal_matching_det(&g).unwrap();
+            let out = maximal_matching_det_probed(&g, &Probe::disabled()).unwrap();
             assert!(out.value.is_maximal(&g));
         }
     }
@@ -582,7 +574,7 @@ mod tests {
     #[test]
     fn single_edge_matches() {
         let g = Graph::from_edges(2, [(0, 1)]).unwrap();
-        let out = maximal_matching_det(&g).unwrap();
+        let out = maximal_matching_det_probed(&g, &Probe::disabled()).unwrap();
         assert_eq!(out.value.edges, vec![(NodeId(0), NodeId(1))]);
         let out = maximal_matching_rand(&g, 3).unwrap();
         assert_eq!(out.value.edges, vec![(NodeId(0), NodeId(1))]);
@@ -591,7 +583,11 @@ mod tests {
     #[test]
     fn empty_graph_empty_matching() {
         let g = Graph::from_edges(4, []).unwrap();
-        assert!(maximal_matching_det(&g).unwrap().value.edges.is_empty());
+        assert!(maximal_matching_det_probed(&g, &Probe::disabled())
+            .unwrap()
+            .value
+            .edges
+            .is_empty());
     }
 
     #[test]

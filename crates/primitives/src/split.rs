@@ -178,7 +178,11 @@ pub fn degree_split(g: &Graph, k: usize) -> Result<Timed<Split>, SimError> {
 /// # Errors
 ///
 /// Propagates simulator errors from the breakpoint MIS.
-pub fn degree_split_probed(g: &Graph, k: usize, probe: &Probe) -> Result<Timed<Split>, SimError> {
+pub(crate) fn degree_split_probed(
+    g: &Graph,
+    k: usize,
+    probe: &Probe,
+) -> Result<Timed<Split>, SimError> {
     let k = (k.max(4) / 2) * 2;
     let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
     if edges.is_empty() {

@@ -123,7 +123,7 @@ pub enum Event {
     /// the same per-round figures).
     Round {
         /// Which executor/loop emitted this (e.g. `"localsim"`,
-        /// `"congest"`).
+        /// `"localsim/msg"`).
         scope: String,
         /// Round index, starting at 0.
         round: u64,
@@ -224,7 +224,7 @@ impl Event {
 
     /// The event's type tag as it appears in the JSON encoding.
     #[must_use]
-    pub fn type_tag(&self) -> &'static str {
+    pub(crate) fn type_tag(&self) -> &'static str {
         match self {
             Event::SpanEnter { .. } => "span_enter",
             Event::SpanExit { .. } => "span_exit",

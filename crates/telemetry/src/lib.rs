@@ -28,8 +28,8 @@ pub mod sink;
 
 pub use event::{ChargeKind, Event, FaultKind};
 pub use metrics::{
-    Histogram, LocalHistogram, MetricCounter, MetricsHub, Watermark, WorkerLane,
-    WorkerLaneSnapshot, METRICS_SCHEMA_VERSION,
+    Histogram, MetricCounter, MetricsHub, Watermark, WorkerLane, WorkerLaneSnapshot,
+    METRICS_SCHEMA_VERSION,
 };
 pub use probe::{Probe, Span};
 pub use sink::{FanoutSink, FlightRecorder, JsonlSink, NullSink, RecordingSink, Sink};

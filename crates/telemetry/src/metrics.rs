@@ -22,12 +22,6 @@
 //! [`MetricsHub::deterministic_snapshot`] excludes exactly those, so the
 //! deterministic view of a seeded run is bit-identical at every thread
 //! count — pinned by `crates/core/tests/pipeline_parallel.rs`.
-//!
-//! Hot loops that cannot afford even an uncontended atomic per event can
-//! observe into a plain [`LocalHistogram`] shard and merge it into the
-//! shared histogram once per round or segment; the merge is the same
-//! commutative bucket addition, so shard-then-merge and direct observation
-//! produce identical snapshots.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -181,7 +175,7 @@ impl Histogram {
 
     /// Non-empty `(bucket_upper_bound, count)` pairs, ascending.
     #[must_use]
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -210,69 +204,6 @@ impl Histogram {
                 ),
             ),
         ])
-    }
-}
-
-/// A plain (non-atomic) histogram shard for one worker or one segment.
-///
-/// Hot loops observe here for free and [`LocalHistogram::merge_into`] the
-/// shared [`Histogram`] once at the end; bucket addition commutes, so the
-/// merged snapshot is identical whatever the shard boundaries were.
-#[derive(Debug, Clone)]
-pub struct LocalHistogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        LocalHistogram {
-            buckets: [0; BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl LocalHistogram {
-    /// An empty shard.
-    #[must_use]
-    pub fn new() -> Self {
-        LocalHistogram::default()
-    }
-
-    /// Records one observation (no atomics).
-    #[inline]
-    pub fn observe(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    /// Number of observations in this shard.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Adds this shard into `target` and resets the shard.
-    pub fn merge_into(&mut self, target: &Histogram) {
-        if self.count == 0 {
-            return;
-        }
-        for (idx, c) in self.buckets.iter().enumerate() {
-            if *c > 0 {
-                target.buckets[idx].fetch_add(*c, Ordering::Relaxed);
-            }
-        }
-        target.count.fetch_add(self.count, Ordering::Relaxed);
-        target.sum.fetch_add(self.sum, Ordering::Relaxed);
-        target.max.fetch_max(self.max, Ordering::Relaxed);
-        *self = LocalHistogram::default();
     }
 }
 
@@ -429,20 +360,6 @@ impl MetricsHub {
             .collect()
     }
 
-    /// `(name, value)` for every counter, sorted by name.
-    #[must_use]
-    pub fn counter_values(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(n, c)| (n.clone(), c.get()))
-            .collect();
-        v.sort();
-        v
-    }
-
     /// The full snapshot: schema version, counters, watermarks,
     /// histograms (with quantiles), and the worker lane table. Keys are
     /// sorted, so two hubs holding the same values serialize identically.
@@ -557,33 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn local_shards_merge_to_identical_snapshot() {
-        let direct = Histogram::default();
-        let sharded = Histogram::default();
-        let values: Vec<u64> = (0..1000).map(|i| (i * 7919) % 4096).collect();
-        for v in &values {
-            direct.observe(*v);
-        }
-        // Two shards, arbitrary split.
-        let mut a = LocalHistogram::new();
-        let mut b = LocalHistogram::new();
-        for (i, v) in values.iter().enumerate() {
-            if i % 3 == 0 {
-                a.observe(*v);
-            } else {
-                b.observe(*v);
-            }
-        }
-        b.merge_into(&sharded);
-        a.merge_into(&sharded);
-        assert_eq!(
-            serde::json::to_string(&direct.to_value()),
-            serde::json::to_string(&sharded.to_value())
-        );
-        assert_eq!(a.count(), 0, "merge resets the shard");
-    }
-
-    #[test]
     fn hub_registers_once_and_snapshots_sorted() {
         let hub = MetricsHub::new();
         hub.counter("b.second").add(2);
@@ -591,10 +481,8 @@ mod tests {
         hub.counter("b.second").add(3);
         hub.watermark("peak").record(10);
         hub.watermark("peak").record(7);
-        assert_eq!(
-            hub.counter_values(),
-            vec![("a.first".to_string(), 1), ("b.second".to_string(), 5)]
-        );
+        assert_eq!(hub.counter("a.first").get(), 1);
+        assert_eq!(hub.counter("b.second").get(), 5);
         assert_eq!(hub.watermark("peak").get(), 10);
         let text = serde::json::to_string(&hub.snapshot_value());
         assert!(text.contains("\"schema_version\":1"));

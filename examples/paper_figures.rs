@@ -50,18 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let triads = form_slack_triads(&inst.graph, &acd, &f3, &mut ledger)?;
 
     let figures = [
-        (
-            "figure2_triads.dot",
-            render::render_triads(&inst.graph, &acd, &triads),
-        ),
+        ("figure2_triads.dot", render::render_triads(&acd, &triads)),
         (
             "figure3_pair_graph.dot",
             render::render_pair_graph(&inst.graph, &triads),
         ),
-        (
-            "figure4_matching.dot",
-            render::render_matching(&inst.graph, &acd, &f2),
-        ),
+        ("figure4_matching.dot", render::render_matching(&acd, &f2)),
     ];
     for (name, dot) in figures {
         std::fs::write(name, &dot)?;

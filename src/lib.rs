@@ -14,7 +14,7 @@
 //! | [`graphs`] | graph type, text I/O, generators (incl. the paper's hard/easy dense families and sparse+dense mixtures), coloring validators |
 //! | [`local`] | synchronous LOCAL-model simulators (state-exchange, per-port messages, CONGEST metering) and round ledger |
 //! | [`decomposition`] | almost-clique decomposition (Lemma 2) |
-//! | [`subroutines`] | Linial coloring + color reduction, (deg+1)-list coloring, MIS, ruling sets, maximal matching, degree splitting, network decomposition, CONGEST toolbox |
+//! | [`subroutines`] | Linial coloring + color reduction, (deg+1)-list coloring, MIS, ruling sets, maximal matching, degree splitting, CONGEST toolbox |
 //! | [`grabbing`] | multihypergraphs and hyperedge grabbing (Lemma 5; three solvers) |
 //! | [`coloring`] | the Δ-coloring pipelines (Theorems 1 and 2), the sparse+dense extension, figure renderers |
 //! | [`reference`](mod@reference) | baselines: sequential Brooks, Δ+1, global stalling, greedy jamming |

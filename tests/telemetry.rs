@@ -1,8 +1,11 @@
 //! Telemetry integration tests: probes must change nothing about a run
 //! (NullSink equivalence), traces must be deterministic for seeded runs
-//! (RecordingSink reproducibility), and the event stream must cover every
-//! executed simulator round.
+//! (RecordingSink reproducibility), the event stream must cover every
+//! executed simulator round, and the deterministic slice of a metrics
+//! snapshot must match its committed baseline.
 
+use std::collections::BTreeMap;
+use std::process::Command;
 use std::sync::Arc;
 
 use delta_coloring::coloring::{
@@ -11,6 +14,7 @@ use delta_coloring::coloring::{
 };
 use delta_coloring::graphs::generators::{self, HardCliqueParams, SparseDenseParams};
 use delta_coloring::local::{ChargeKind, Event, NullSink, Probe, RecordingSink, EXEC_SCOPE};
+use serde::{json, Value};
 
 fn hard(cliques: usize, delta: usize, seed: u64) -> generators::HardCliqueInstance {
     generators::hard_cliques(&HardCliqueParams {
@@ -250,4 +254,64 @@ fn ledger_groups_have_no_phantom_hard_phase() {
         );
         assert!(!groups.iter().any(|p| p == "hard"), "{name}: {groups:?}");
     }
+}
+
+/// The deterministic slice of a `--metrics-out` snapshot: counters and
+/// watermarks whose names do not end in `_ns`, plus `worker_units_total`.
+/// Timing metrics and the per-worker table are left out; what remains is
+/// a pure function of the run.
+fn deterministic_metrics(snapshot: &str) -> BTreeMap<String, Value> {
+    let snapshot = json::parse(snapshot).expect("metrics snapshot is JSON");
+    let mut slice = BTreeMap::new();
+    for section in ["counters", "watermarks"] {
+        let Ok(Value::Map(entries)) = snapshot.field(section) else {
+            panic!("snapshot has no `{section}` map");
+        };
+        for (name, v) in entries {
+            if !name.ends_with("_ns") {
+                slice.insert(format!("{section}.{name}"), v.clone());
+            }
+        }
+    }
+    let units = snapshot
+        .field("worker_units_total")
+        .expect("worker_units_total");
+    slice.insert("worker_units_total".to_string(), units.clone());
+    slice
+}
+
+/// A randomized run with leftover components on a 4-thread pool: its
+/// deterministic metric slice must equal `ci/baselines/metrics.smoke.json`
+/// exactly, on any machine. If a pipeline change legitimately moves it,
+/// regenerate that file with the two CLI commands below
+/// (`... --metrics-out ci/baselines/metrics.smoke.json --profile`).
+#[test]
+fn metrics_snapshot_slice_matches_the_committed_baseline() {
+    const BIN: &str = env!("CARGO_BIN_EXE_delta-color");
+    let dir = std::env::temp_dir().join(format!("telemetry-metrics-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (graph, snapshot) = (dir.join("gm.txt"), dir.join("metrics.json"));
+    let gen = Command::new(BIN)
+        .args(["gen", "--cliques", "160", "--delta", "16", "--seed", "5"])
+        .output()
+        .expect("spawn delta-color");
+    assert!(gen.status.success());
+    std::fs::write(&graph, &gen.stdout).unwrap();
+    let run = Command::new(BIN)
+        .arg("color")
+        .arg(&graph)
+        .args(["--randomized", "1", "--threads", "4", "--metrics-out"])
+        .arg(&snapshot)
+        .arg("--profile")
+        .output()
+        .expect("spawn delta-color");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let measured = deterministic_metrics(&std::fs::read_to_string(&snapshot).unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+    let committed = deterministic_metrics(include_str!("../ci/baselines/metrics.smoke.json"));
+    assert_eq!(measured, committed);
 }
