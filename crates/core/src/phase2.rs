@@ -7,10 +7,13 @@
 //! `K/4` outgoing and at most `Δ/4 + O(εΔ)` incoming edges. We then keep
 //! **exactly two** outgoing edges per clique (the paper's Step 6), choosing
 //! heads with the lowest incoming load; a cap-aware fixup re-adds edges
-//! from `F2` for any clique the split left under-supplied, so Lemma 13's
+//! from `F2` for any clique the split left under-supplied. Lemma 13's
 //! conclusion — two outgoing, strictly fewer than `½(Δ − 2εΔ − 1)`
-//! incoming — holds for every parameterization, not only the paper's
-//! `ε = 1/63, K = 28` regime (see DESIGN.md).
+//! incoming — is guaranteed only in the paper's `ε = 1/63, K = 28`
+//! regime. Under relaxed parameters a selection within the cap may not
+//! exist, and the greedy (cliques in index order) can miss one that does;
+//! phase 2 then fails with a Lemma 13 `InvariantViolated` error (see
+//! DESIGN.md).
 
 use acd::AcdResult;
 use graphgen::{Graph, NodeId};

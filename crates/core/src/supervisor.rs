@@ -2,41 +2,36 @@
 //! panic containment with baseline degradation, and failure repro bundles.
 //!
 //! Both pipelines ([`crate::color_deterministic`],
-//! [`crate::color_randomized`]) decompose into phase functions; this
-//! module owns the *composition*. A [`Supervisor`] configures what
-//! happens at each phase boundary and around each pooled component
-//! solve:
+//! [`crate::color_randomized`]) decompose into phase functions, and both
+//! run in one supervised skeleton here (`Run`). It owns every step the two
+//! share: admission, the one resume path, the ACD/classification prefix,
+//! the phase boundary (snapshot, `Checkpoint` event, flush, `stop_after`),
+//! the final completeness check and failure capture. A pipeline supplies
+//! only its snapshot body ([`RandSnapshot`] or [`DetSnapshot`]) and its
+//! phase list; the randomized one adds its snapshot-state check and the
+//! large-Δ branch. A [`Supervisor`] configures:
 //!
 //! * **Checkpointing** — with a `checkpoint_dir`, every completed phase
-//!   serializes a versioned [`Snapshot`] (graph digest, coloring, ledger,
-//!   phase cursor, shattering state, fault plan) through the workspace
-//!   serde shim. [`load_snapshot`] + `resume` continue a killed run from
-//!   the last boundary, **bit-identical** to the uninterrupted run: phases
-//!   at or before the cursor are *silently replayed* (they are
-//!   deterministic functions of the graph and config, so they are
-//!   recomputed against a throwaway ledger with a disabled probe — no
-//!   charge or event is emitted twice), stateful outputs are restored from
-//!   the snapshot, and later phases run live.
+//!   writes a versioned [`Snapshot`]. [`load_snapshot`] + `resume` continue
+//!   a killed run from the last boundary, **bit-identical** to the
+//!   uninterrupted run: pure phases at or before the cursor are silently
+//!   recomputed against a scratch ledger (no charge or event is emitted
+//!   twice), stateful outputs come from the snapshot, and later phases run
+//!   live.
 //! * **Containment** — with `degrade` set, every leftover-component solve
 //!   of the randomized pipeline runs under `catch_unwind` and optional
-//!   round / wall-clock budgets. A panicking or over-budget component is
-//!   quarantined: its partial writes, events, and rounds are discarded,
-//!   the component re-solves with the scoped Brooks baseline
-//!   ([`baselines::brooks_component`]), a [`localsim::Event::Degraded`]
-//!   event fires, and the run completes with a valid coloring.
+//!   round / wall-clock budgets; a panicking or over-budget component is
+//!   discarded, re-solved with [`baselines::brooks_component`], and
+//!   reported by a [`localsim::Event::Degraded`] event.
 //! * **Repro bundles** — with a `bundle_dir` (or `capture_failures`), any
-//!   run error is converted into a self-contained [`ReproBundle`] (graph,
-//!   config, fault plan, chaos plan, violation list) that
+//!   run error becomes a self-contained [`ReproBundle`] that
 //!   [`replay_bundle`] re-executes deterministically.
 //!
-//! A *passive* supervisor ([`Supervisor::passive`]) does none of the
-//! above; `color_randomized`/`color_deterministic` delegate to the drivers
-//! here with a passive supervisor, so there is exactly one engine.
-//!
-//! Round budgets are deterministic (they compare ledger totals) and
-//! preserve bit-identity; the wall-clock budget is a nondeterministic
-//! safety net, off by default, and excluded from the identity contract —
-//! see `docs/RECOVERY.md`.
+//! `color_randomized`/`color_deterministic` run the same drivers with a
+//! [`Supervisor::passive`], which does none of the above, so there is
+//! exactly one engine. Round budgets are deterministic; the wall-clock
+//! budget is a nondeterministic safety net, off by default and outside the
+//! identity contract (see `docs/RECOVERY.md`).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -44,21 +39,23 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
-use graphgen::{Coloring, Graph, NodeId};
+use acd::AcdResult;
+use graphgen::{Color, Coloring, Graph, NodeId};
 use localsim::{write_atomic, Event, FaultPlan, FlightRecorder, Probe, RoundLedger};
 use serde::{json, Deserialize, Serialize};
 
+use crate::classify::Classification;
 use crate::deterministic::{
     det_phase1, det_phase2, det_phase3, det_phase4, det_phase_acd, det_phase_classification,
     det_phase_easy, Config, PipelineStats, Report,
 };
 use crate::error::DeltaColoringError;
+use crate::loophole::LoopholeReport;
 use crate::randomized::{
     color_large_delta, rand_phase_easy, rand_phase_postprocess, rand_phase_postshatter,
     rand_phase_preshatter, RandConfig, RandReport, RecoveryStats, ShatterStats,
 };
 use crate::shard::{run_shard_case, ShardRunSpec};
-use graphgen::Color;
 
 /// On-disk snapshot format version; bumped on incompatible layout changes.
 pub const SNAPSHOT_VERSION: u32 = 1;
@@ -136,10 +133,11 @@ impl PhaseCursor {
         }
     }
 
-    /// Position in pipeline order (shared phases first). Only cursors of
-    /// the same pipeline are ever compared.
+    /// Position in pipeline order (shared phases first), which is the
+    /// declaration order. Only cursors of the same pipeline are ever
+    /// compared.
     pub fn ordinal(self) -> u8 {
-        Self::ALL.iter().position(|&c| c == self).expect("listed") as u8
+        self as u8
     }
 }
 
@@ -263,20 +261,6 @@ impl Supervisor {
     pub fn captures_failures(&self) -> bool {
         self.capture_failures || self.bundle_dir.is_some()
     }
-
-    fn validate(&self) -> Result<(), DeltaColoringError> {
-        if self.stop_after.is_some() && self.checkpoint_dir.is_none() {
-            return Err(DeltaColoringError::Supervisor(
-                "--stop-after requires a checkpoint directory".to_string(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The flight recorder's current tail, or empty without a recorder.
-    fn flight_tail(&self) -> Vec<Event> {
-        self.flight.as_ref().map(|f| f.tail()).unwrap_or_default()
-    }
 }
 
 /// State the randomized pipeline carries across phase boundaries (the
@@ -395,14 +379,12 @@ impl<'de> Deserialize<'de> for ReproBundle {
             error: Deserialize::from_value(v.field("error")?)?,
             violations: Deserialize::from_value(v.field("violations")?)?,
             degraded: Deserialize::from_value(v.field("degraded")?)?,
-            flight: match v.field("flight") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => Vec::new(),
-            },
-            shard_config: match v.field("shard_config") {
-                Ok(f) => Deserialize::from_value(f)?,
-                Err(_) => None,
-            },
+            flight: v
+                .field("flight")
+                .map_or(Ok(Vec::new()), Deserialize::from_value)?,
+            shard_config: v
+                .field("shard_config")
+                .map_or(Ok(None), Deserialize::from_value)?,
         })
     }
 }
@@ -521,8 +503,36 @@ pub fn graph_digest(g: &Graph) -> u64 {
     h
 }
 
-fn io_err(what: &str, path: &Path, e: &std::io::Error) -> DeltaColoringError {
-    DeltaColoringError::Supervisor(format!("{what} {}: {e}", path.display()))
+/// Writes `value` atomically to `path` as JSON; `what` names it in errors.
+fn write_json<T: Serialize>(
+    what: &str,
+    path: PathBuf,
+    value: &T,
+) -> Result<PathBuf, DeltaColoringError> {
+    write_atomic(&path, json::to_string(value).as_bytes()).map_err(|e| {
+        DeltaColoringError::Supervisor(format!("writing {what} {}: {e}", path.display()))
+    })?;
+    Ok(path)
+}
+
+/// Reads a JSON `what` written by [`write_json`] and refuses it unless
+/// `version` of it is `expected`.
+fn read_json<T: for<'de> Deserialize<'de>>(
+    what: &str,
+    path: &Path,
+    expected: u32,
+    version: impl FnOnce(&T) -> u32,
+) -> Result<T, DeltaColoringError> {
+    let (fail, at) = (DeltaColoringError::Supervisor, path.display());
+    let text =
+        std::fs::read_to_string(path).map_err(|e| fail(format!("reading {what} {at}: {e}")))?;
+    let value: T = json::from_str(&text).map_err(|e| fail(format!("parsing {what} {at}: {e}")))?;
+    match version(&value) {
+        v if v == expected => Ok(value),
+        v => Err(fail(format!(
+            "{what} {at} has format version {v}, this build reads version {expected}"
+        ))),
+    }
 }
 
 /// Writes `snap` atomically into `dir` as
@@ -532,15 +542,9 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> DeltaColoringError {
 ///
 /// [`DeltaColoringError::Supervisor`] on I/O failure.
 pub fn save_snapshot(dir: &Path, snap: &Snapshot) -> Result<PathBuf, DeltaColoringError> {
-    let name = format!(
-        "checkpoint-{:02}-{}.json",
-        snap.cursor.ordinal(),
-        snap.cursor.slug()
-    );
-    let path = dir.join(name);
-    write_atomic(&path, json::to_string(snap).as_bytes())
-        .map_err(|e| io_err("writing snapshot", &path, &e))?;
-    Ok(path)
+    let (at, slug) = (snap.cursor.ordinal(), snap.cursor.slug());
+    let path = dir.join(format!("checkpoint-{at:02}-{slug}.json"));
+    write_json("snapshot", path, snap)
 }
 
 /// Loads a [`Snapshot`] previously written by [`save_snapshot`].
@@ -550,18 +554,7 @@ pub fn save_snapshot(dir: &Path, snap: &Snapshot) -> Result<PathBuf, DeltaColori
 /// [`DeltaColoringError::Supervisor`] on I/O failure, a parse error, or a
 /// version mismatch.
 pub fn load_snapshot(path: &Path) -> Result<Snapshot, DeltaColoringError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err("reading snapshot", path, &e))?;
-    let snap: Snapshot = json::from_str(&text).map_err(|e| {
-        DeltaColoringError::Supervisor(format!("parsing snapshot {}: {e}", path.display()))
-    })?;
-    if snap.version != SNAPSHOT_VERSION {
-        return Err(DeltaColoringError::Supervisor(format!(
-            "snapshot {} has format version {}, this build reads version {SNAPSHOT_VERSION}",
-            path.display(),
-            snap.version
-        )));
-    }
-    Ok(snap)
+    read_json("snapshot", path, SNAPSHOT_VERSION, |s: &Snapshot| s.version)
 }
 
 /// Writes a [`ReproBundle`] into `dir` as `bundle-<slug-or-start>.json`.
@@ -572,9 +565,7 @@ pub fn load_snapshot(path: &Path) -> Result<Snapshot, DeltaColoringError> {
 pub fn save_bundle(dir: &Path, bundle: &ReproBundle) -> Result<PathBuf, DeltaColoringError> {
     let stage = bundle.cursor.as_deref().unwrap_or("start");
     let path = dir.join(format!("bundle-after-{stage}.json"));
-    write_atomic(&path, json::to_string(bundle).as_bytes())
-        .map_err(|e| io_err("writing bundle", &path, &e))?;
-    Ok(path)
+    write_json("bundle", path, bundle)
 }
 
 /// Loads a [`ReproBundle`] previously written by [`save_bundle`].
@@ -584,18 +575,7 @@ pub fn save_bundle(dir: &Path, bundle: &ReproBundle) -> Result<PathBuf, DeltaCol
 /// [`DeltaColoringError::Supervisor`] on I/O failure, a parse error, or a
 /// version mismatch.
 pub fn load_bundle(path: &Path) -> Result<ReproBundle, DeltaColoringError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err("reading bundle", path, &e))?;
-    let bundle: ReproBundle = json::from_str(&text).map_err(|e| {
-        DeltaColoringError::Supervisor(format!("parsing bundle {}: {e}", path.display()))
-    })?;
-    if bundle.version != BUNDLE_VERSION {
-        return Err(DeltaColoringError::Supervisor(format!(
-            "bundle {} has format version {}, this build reads version {BUNDLE_VERSION}",
-            path.display(),
-            bundle.version
-        )));
-    }
-    Ok(bundle)
+    read_json("bundle", path, BUNDLE_VERSION, |b: &ReproBundle| b.version)
 }
 
 fn check_snapshot(
@@ -640,48 +620,379 @@ fn check_snapshot(
     Ok(())
 }
 
-/// Checks that a randomized snapshot's shattering state fits the graph
-/// and the cursor: the deferred rings exist (one entry per vertex) once
-/// pre-shattering is done and not before, and every slack vertex is a
-/// vertex of the graph.
-fn check_rand_state(
-    rs: &RandSnapshot,
-    g: &Graph,
-    cursor: PhaseCursor,
-) -> Result<(), DeltaColoringError> {
-    let want_ring = if cursor.ordinal() >= PhaseCursor::PreShattering.ordinal() {
-        g.n()
-    } else {
-        0
-    };
-    if rs.ring.len() != want_ring {
-        return Err(DeltaColoringError::Supervisor(format!(
-            "snapshot after `{cursor}` has {} ring entries, expected {want_ring}",
-            rs.ring.len()
-        )));
+/// The pipeline-specific half of a supervised [`Run`]: its snapshot body,
+/// exactly the state the pipeline carries across boundaries plus its config.
+trait PipelineBody: Clone {
+    const KIND: PipelineKind;
+    type Report;
+    /// The body's field in a [`Snapshot`].
+    fn slot(snap: &mut Snapshot) -> &mut Option<Self>;
+    /// The configs a [`ReproBundle`] records; resume requires them equal.
+    fn configs(&self) -> (Option<RandConfig>, Option<Config>);
+    /// Checks state restored from a snapshot against the graph.
+    fn check_state(&self, _g: &Graph, _cursor: PhaseCursor) -> Result<(), DeltaColoringError> {
+        Ok(())
     }
-    if let Some(v) = rs.slack_vertices.iter().find(|v| v.index() >= g.n()) {
-        return Err(DeltaColoringError::Supervisor(format!(
-            "snapshot slack vertex {} is outside the graph's 0..{}",
-            v.0,
-            g.n()
-        )));
+    /// Records the classification's outputs before its boundary.
+    fn classified(&mut self, _acd: &AcdResult, _loopholes: &LoopholeReport, _cls: &Classification) {
     }
-    Ok(())
+    /// Components degraded to the baseline so far.
+    fn degraded(&self) -> &[DegradedComponent] {
+        &[]
+    }
+    /// The completed run's outcome.
+    fn finish(self, coloring: Coloring, ledger: RoundLedger) -> RunOutcome<Self::Report>;
 }
 
-// ---------------------------------------------------------------------
-// Randomized driver.
-// ---------------------------------------------------------------------
+impl PipelineBody for RandSnapshot {
+    const KIND: PipelineKind = PipelineKind::Randomized;
+    type Report = RandReport;
 
-struct RandRunState {
+    fn slot(snap: &mut Snapshot) -> &mut Option<Self> {
+        &mut snap.rand
+    }
+
+    fn configs(&self) -> (Option<RandConfig>, Option<Config>) {
+        (Some(self.config), None)
+    }
+
+    /// The deferred rings exist (one entry per vertex) once
+    /// pre-shattering is done and not before, and every slack vertex is a
+    /// vertex of the graph.
+    fn check_state(&self, g: &Graph, cursor: PhaseCursor) -> Result<(), DeltaColoringError> {
+        let want_ring = if cursor.ordinal() >= PhaseCursor::PreShattering.ordinal() {
+            g.n()
+        } else {
+            0
+        };
+        if self.ring.len() != want_ring {
+            return Err(DeltaColoringError::Supervisor(format!(
+                "snapshot after `{cursor}` has {} ring entries, expected {want_ring}",
+                self.ring.len()
+            )));
+        }
+        if let Some(v) = self.slack_vertices.iter().find(|v| v.index() >= g.n()) {
+            return Err(DeltaColoringError::Supervisor(format!(
+                "snapshot slack vertex {} is outside the graph's 0..{}",
+                v.0,
+                g.n()
+            )));
+        }
+        Ok(())
+    }
+
+    fn degraded(&self) -> &[DegradedComponent] {
+        &self.degraded
+    }
+
+    fn finish(self, coloring: Coloring, ledger: RoundLedger) -> RunOutcome<RandReport> {
+        RunOutcome::Complete {
+            report: RandReport {
+                coloring,
+                ledger,
+                shatter: self.shatter,
+                recovery: self.recovery,
+            },
+            degraded: self.degraded,
+        }
+    }
+}
+
+impl PipelineBody for DetSnapshot {
+    const KIND: PipelineKind = PipelineKind::Deterministic;
+    type Report = Report;
+
+    fn slot(snap: &mut Snapshot) -> &mut Option<Self> {
+        &mut snap.det
+    }
+
+    fn configs(&self) -> (Option<RandConfig>, Option<Config>) {
+        (None, Some(self.config))
+    }
+
+    fn classified(&mut self, acd: &AcdResult, loopholes: &LoopholeReport, cls: &Classification) {
+        self.stats = PipelineStats {
+            cliques: acd.cliques.len(),
+            hard: cls.hard_count(),
+            heg: cls.heg_ids.len(),
+            loophole_vertices: loopholes.count(),
+            ..PipelineStats::default()
+        };
+    }
+
+    fn finish(self, coloring: Coloring, ledger: RoundLedger) -> RunOutcome<Report> {
+        RunOutcome::Complete {
+            report: Report {
+                coloring,
+                ledger,
+                stats: self.stats,
+            },
+            degraded: Vec::new(),
+        }
+    }
+}
+
+/// Why a supervised phase list stopped before its end.
+enum Halt {
+    /// `stop_after` fired at this boundary, after writing this snapshot.
+    Suspend(PhaseCursor, PathBuf),
+    /// A phase or a checkpoint write failed.
+    Fail(DeltaColoringError),
+}
+
+impl From<DeltaColoringError> for Halt {
+    fn from(e: DeltaColoringError) -> Self {
+        Halt::Fail(e)
+    }
+}
+
+/// One supervised run of either pipeline: its live state and the inputs
+/// every boundary and failure capture reads.
+struct Run<'a, B> {
+    g: &'a Graph,
+    sup: &'a Supervisor,
+    faults: Option<&'a FaultPlan>,
     coloring: Coloring,
+    /// Carries the run's probe, fresh or restored.
     ledger: RoundLedger,
-    shatter: ShatterStats,
-    recovery: RecoveryStats,
-    slack_vertices: Vec<NodeId>,
-    ring: Vec<Option<usize>>,
-    degraded: Vec<DegradedComponent>,
+    body: B,
+    /// Last boundary passed, restored from a snapshot or live. Phases run
+    /// in cursor order, so a phase at or before it was restored.
+    last_done: Option<PhaseCursor>,
+}
+
+impl<'a, B: PipelineBody> Run<'a, B> {
+    /// A fresh run from `fresh`. Refuses `stop_after` without a checkpoint
+    /// directory, a fault plan that does not fit the graph, and Δ < 4.
+    fn new(
+        g: &'a Graph,
+        probe: &'a Probe,
+        sup: &'a Supervisor,
+        faults: Option<&'a FaultPlan>,
+        fresh: B,
+    ) -> Result<Self, DeltaColoringError> {
+        if sup.stop_after.is_some() && sup.checkpoint_dir.is_none() {
+            return Err(DeltaColoringError::Supervisor(
+                "--stop-after requires a checkpoint directory".to_string(),
+            ));
+        }
+        if let Some(plan) = faults {
+            plan.check(g.n())?;
+        }
+        let delta = g.max_degree();
+        if delta < 4 {
+            return Err(DeltaColoringError::UnsupportedStructure(format!(
+                "maximum degree {delta} is below the supported minimum of 4"
+            )));
+        }
+        Ok(Run {
+            g,
+            sup,
+            faults,
+            coloring: Coloring::empty(g.n()),
+            ledger: RoundLedger::with_probe(probe.clone()),
+            body: fresh,
+            last_done: None,
+        })
+    }
+
+    /// Runs `phases` from the `resume` snapshot or from the start, checks
+    /// the final coloring, and turns a suspension or a captured failure
+    /// into its [`RunOutcome`].
+    fn supervise(
+        mut self,
+        resume: Option<Snapshot>,
+        phases: impl FnOnce(&mut Self) -> Result<(), Halt>,
+    ) -> Result<RunOutcome<B::Report>, DeltaColoringError> {
+        if let Some(snap) = resume {
+            self.restore(snap)?;
+        }
+        let flow = phases(&mut self).and_then(|()| {
+            let delta = self.g.max_degree() as u32;
+            let complete = self.coloring.check_complete(self.g, delta);
+            let fail = |e| DeltaColoringError::InvariantViolated(format!("final coloring: {e}"));
+            Ok(complete.map_err(fail)?)
+        });
+        match flow {
+            Ok(()) => Ok(self.body.finish(self.coloring, self.ledger)),
+            Err(Halt::Suspend(cursor, snapshot)) => Ok(RunOutcome::Suspended { cursor, snapshot }),
+            Err(Halt::Fail(e)) if self.sup.captures_failures() => {
+                Ok(RunOutcome::Failed(self.capture(&e)?))
+            }
+            Err(Halt::Fail(e)) => Err(e),
+        }
+    }
+
+    /// Restores the run from `snap` once it is checked against the
+    /// graph, the pipeline, the config and the fault plan.
+    fn restore(&mut self, mut snap: Snapshot) -> Result<(), DeltaColoringError> {
+        let restore_start = Instant::now();
+        check_snapshot(&snap, self.g, B::KIND)?;
+        let kind = format!("{:?}", B::KIND).to_lowercase();
+        let body = B::slot(&mut snap).take().ok_or_else(|| {
+            DeltaColoringError::Supervisor(format!("{kind} snapshot is missing its pipeline state"))
+        })?;
+        body.check_state(self.g, snap.cursor)?;
+        if body.configs() != self.body.configs() {
+            return Err(DeltaColoringError::Supervisor(
+                "snapshot configuration differs from the resume configuration; \
+                 resume with the snapshot's own config"
+                    .to_string(),
+            ));
+        }
+        if snap.faults.as_ref() != self.faults {
+            return Err(DeltaColoringError::Supervisor(
+                "snapshot fault plan differs from the resume fault plan".to_string(),
+            ));
+        }
+        let probe = self.ledger.probe().clone();
+        self.coloring = snap.coloring;
+        self.ledger = snap.ledger;
+        self.ledger.set_probe(probe);
+        self.body = body;
+        self.last_done = Some(snap.cursor);
+        if let Some(hub) = self.ledger.probe().metrics() {
+            hub.counter("supervisor.resumes").incr();
+            hub.histogram("supervisor.resume_restore_ns")
+                .observe(u64::try_from(restore_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
+        Ok(())
+    }
+
+    /// Whether the restored snapshot already holds `cursor`'s outputs.
+    fn covers(&self, cursor: PhaseCursor) -> bool {
+        matches!(self.last_done, Some(at) if cursor.ordinal() <= at.ordinal())
+    }
+
+    /// Runs a phase whose output is a pure function of the graph and
+    /// config. When the snapshot covers it, it is replayed silently
+    /// against a scratch ledger with a disabled probe, so no charge or
+    /// event is emitted twice; otherwise it runs live, `record` folds its
+    /// output into the body, and its boundary follows.
+    fn derive<T>(
+        &mut self,
+        cursor: PhaseCursor,
+        phase: impl FnOnce(&mut RoundLedger) -> Result<T, DeltaColoringError>,
+        record: impl FnOnce(&mut B, &T),
+    ) -> Result<T, Halt> {
+        if self.covers(cursor) {
+            return Ok(phase(&mut RoundLedger::new())?);
+        }
+        let out = phase(&mut self.ledger)?;
+        record(&mut self.body, &out);
+        self.boundary(cursor)?;
+        Ok(out)
+    }
+
+    /// Runs a phase whose outputs live in the snapshot (the coloring and
+    /// the body) up to its boundary, unless the snapshot covers it.
+    fn advance(
+        &mut self,
+        cursor: PhaseCursor,
+        phase: impl FnOnce(&mut Coloring, &mut RoundLedger, &mut B) -> Result<(), DeltaColoringError>,
+    ) -> Result<(), Halt> {
+        if self.covers(cursor) {
+            return Ok(());
+        }
+        phase(&mut self.coloring, &mut self.ledger, &mut self.body)?;
+        self.boundary(cursor)
+    }
+
+    /// The ACD and the classification, the prefix both pipelines share.
+    fn prefix(
+        &mut self,
+        config: &Config,
+    ) -> Result<(AcdResult, LoopholeReport, Classification), Halt> {
+        let g = self.g;
+        let acd = self.derive(PhaseCursor::Acd, |l| det_phase_acd(g, config, l), |_, _| {})?;
+        let (loopholes, cls) = self.derive(
+            PhaseCursor::Classification,
+            |l| det_phase_classification(g, &acd, l),
+            |body, (loopholes, cls)| body.classified(&acd, loopholes, cls),
+        )?;
+        Ok((acd, loopholes, cls))
+    }
+
+    /// Marks `cursor` passed. With a checkpoint directory it also writes
+    /// the snapshot, emits [`Event::Checkpoint`], flushes the probe, and
+    /// suspends the run if `stop_after` names `cursor`; without one it
+    /// builds and clones nothing.
+    fn boundary(&mut self, cursor: PhaseCursor) -> Result<(), Halt> {
+        self.last_done = Some(cursor);
+        let Some(dir) = &self.sup.checkpoint_dir else {
+            return Ok(());
+        };
+        let mut snap = Snapshot {
+            version: SNAPSHOT_VERSION,
+            pipeline: B::KIND,
+            graph_digest: graph_digest(self.g),
+            n: self.g.n(),
+            m: self.g.m(),
+            cursor,
+            coloring: self.coloring.clone(),
+            ledger: self.ledger.clone(),
+            faults: self.faults.cloned(),
+            rand: None,
+            det: None,
+        };
+        *B::slot(&mut snap) = Some(self.body.clone());
+        let write_start = Instant::now();
+        let path = save_snapshot(dir, &snap)?;
+        let probe = self.ledger.probe();
+        if let Some(hub) = probe.metrics() {
+            hub.counter("supervisor.checkpoints").incr();
+            hub.histogram("supervisor.checkpoint_write_ns")
+                .observe(u64::try_from(write_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        }
+        probe.emit_with(|| Event::Checkpoint {
+            cursor: cursor.slug().to_string(),
+            rounds: self.ledger.total(),
+        });
+        // Phase boundaries are the durability points of a supervised run: a
+        // kill after this line must find the trace as complete as the
+        // snapshot.
+        probe.flush();
+        if self.sup.stop_after == Some(cursor) {
+            return Err(Halt::Suspend(cursor, path));
+        }
+        Ok(())
+    }
+
+    /// Turns the run error `e` into a failure report, saving a
+    /// [`ReproBundle`] when `bundle_dir` is set.
+    fn capture(&self, e: &DeltaColoringError) -> Result<FailureReport, DeltaColoringError> {
+        // The run is over; make sure everything buffered (trace file,
+        // fanned-out sinks) reaches disk before the bundle is built.
+        self.ledger.probe().flush();
+        let delta = self.g.max_degree() as u32;
+        let violations = crate::validate::check_coloring(self.g, &self.coloring, delta);
+        let (rand_config, det_config) = self.body.configs();
+        let bundle = ReproBundle {
+            version: BUNDLE_VERSION,
+            pipeline: B::KIND,
+            graph: self.g.clone(),
+            rand_config,
+            det_config,
+            faults: self.faults.cloned(),
+            chaos: self.sup.chaos.clone(),
+            degrade: self.sup.degrade,
+            cursor: self.last_done.map(|c| c.slug().to_string()),
+            error: e.to_string(),
+            violations: violations.iter().map(ToString::to_string).collect(),
+            degraded: self.body.degraded().to_vec(),
+            flight: self.sup.flight.as_ref().map_or_else(Vec::new, |f| f.tail()),
+            shard_config: None,
+        };
+        let dir = self.sup.bundle_dir.as_ref();
+        let path = dir.map(|dir| save_bundle(dir, &bundle)).transpose()?;
+        Ok(FailureReport {
+            error: bundle.error,
+            violations: bundle.violations,
+            cursor: self.last_done,
+            bundle: path,
+            degraded: bundle.degraded,
+        })
+    }
 }
 
 /// Runs the randomized pipeline under `sup`, optionally resuming from a
@@ -702,318 +1013,66 @@ pub fn drive_randomized(
     sup: &Supervisor,
     resume: Option<Snapshot>,
 ) -> Result<RunOutcome<RandReport>, DeltaColoringError> {
-    sup.validate()?;
-    if let Some(plan) = faults {
-        plan.check(g.n())?;
-    }
-    let delta = g.max_degree();
-    if delta < 4 {
-        return Err(DeltaColoringError::UnsupportedStructure(format!(
-            "maximum degree {delta} is below the supported minimum of 4"
-        )));
-    }
-    if let Some(th) = config.large_delta_threshold {
-        if delta >= th {
-            if resume.is_some() {
-                return Err(DeltaColoringError::Supervisor(
-                    "the large-Δ branch has no phase boundaries and cannot resume".to_string(),
-                ));
-            }
-            let mut ledger = RoundLedger::with_probe(probe.clone());
-            let (coloring, shatter) = ledger.span("pipeline/large-delta branch", |l| {
-                color_large_delta(g, config, l)
-            })?;
-            return Ok(RunOutcome::Complete {
-                report: RandReport {
-                    coloring,
-                    ledger,
-                    shatter,
-                    recovery: RecoveryStats::default(),
-                },
-                degraded: Vec::new(),
-            });
-        }
-    }
-
-    let mut resume_cursor = None;
-    let restore_start = Instant::now();
-    let mut st = match resume {
-        Some(snap) => {
-            check_snapshot(&snap, g, PipelineKind::Randomized)?;
-            let rs = snap.rand.ok_or_else(|| {
-                DeltaColoringError::Supervisor(
-                    "randomized snapshot is missing its pipeline state".to_string(),
-                )
-            })?;
-            check_rand_state(&rs, g, snap.cursor)?;
-            if rs.config != *config {
-                return Err(DeltaColoringError::Supervisor(
-                    "snapshot configuration differs from the resume configuration; \
-                     resume with the snapshot's own config"
-                        .to_string(),
-                ));
-            }
-            if snap.faults != faults.cloned() {
-                return Err(DeltaColoringError::Supervisor(
-                    "snapshot fault plan differs from the resume fault plan".to_string(),
-                ));
-            }
-            resume_cursor = Some(snap.cursor);
-            let mut ledger = snap.ledger;
-            ledger.set_probe(probe.clone());
-            RandRunState {
-                coloring: snap.coloring,
-                ledger,
-                shatter: rs.shatter,
-                recovery: rs.recovery,
-                slack_vertices: rs.slack_vertices,
-                ring: rs.ring,
-                degraded: rs.degraded,
-            }
-        }
-        None => RandRunState {
-            coloring: Coloring::empty(g.n()),
-            ledger: RoundLedger::with_probe(probe.clone()),
-            shatter: ShatterStats::default(),
-            recovery: RecoveryStats::default(),
-            slack_vertices: Vec::new(),
-            ring: Vec::new(),
-            degraded: Vec::new(),
-        },
-    };
-    record_resume_metrics(probe, resume_cursor.is_some(), restore_start);
-
-    let mut last_done = resume_cursor;
-    let flow = run_randomized_phases(
-        g,
-        config,
-        faults,
-        probe,
-        sup,
-        &mut st,
-        resume_cursor,
-        &mut last_done,
-    );
-    match flow {
-        Ok(Some((cursor, snapshot))) => Ok(RunOutcome::Suspended { cursor, snapshot }),
-        Ok(None) => Ok(RunOutcome::Complete {
-            report: RandReport {
-                coloring: st.coloring,
-                ledger: st.ledger,
-                shatter: st.shatter,
-                recovery: st.recovery,
-            },
-            degraded: st.degraded,
-        }),
-        Err(e) if sup.captures_failures() => {
-            // The run is over; make sure everything buffered (trace file,
-            // fanned-out sinks) reaches disk before the bundle is built.
-            probe.flush();
-            let violations: Vec<String> =
-                crate::validate::check_coloring(g, &st.coloring, delta as u32)
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
-            let bundle = ReproBundle {
-                version: BUNDLE_VERSION,
-                pipeline: PipelineKind::Randomized,
-                graph: g.clone(),
-                rand_config: Some(*config),
-                det_config: None,
-                faults: faults.cloned(),
-                chaos: sup.chaos.clone(),
-                degrade: sup.degrade,
-                cursor: last_done.map(|c| c.slug().to_string()),
-                error: e.to_string(),
-                violations: violations.clone(),
-                degraded: st.degraded.clone(),
-                flight: sup.flight_tail(),
-                shard_config: None,
-            };
-            let path = match &sup.bundle_dir {
-                Some(dir) => Some(save_bundle(dir, &bundle)?),
-                None => None,
-            };
-            Ok(RunOutcome::Failed(FailureReport {
-                error: e.to_string(),
-                violations,
-                cursor: last_done,
-                bundle: path,
-                degraded: st.degraded,
-            }))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_randomized_phases(
-    g: &Graph,
-    config: &RandConfig,
-    faults: Option<&FaultPlan>,
-    probe: &Probe,
-    sup: &Supervisor,
-    st: &mut RandRunState,
-    resume_cursor: Option<PhaseCursor>,
-    last_done: &mut Option<PhaseCursor>,
-) -> Result<Option<(PhaseCursor, PathBuf)>, DeltaColoringError> {
     use PhaseCursor as Pc;
-    let delta = g.max_degree();
-    let replay = |c: Pc| resume_cursor.is_some_and(|rc| c.ordinal() <= rc.ordinal());
-    macro_rules! boundary {
-        ($cursor:expr) => {{
-            *last_done = Some($cursor);
-            if let Some(stop) = rand_boundary($cursor, g, config, faults, probe, sup, st)? {
-                return Ok(Some(stop));
-            }
-        }};
-    }
-
-    // ACD + classification: pure functions of (g, config), recomputed on
-    // every resume — silently (scratch ledger, disabled probe) when the
-    // snapshot already accounts for them.
-    let acd = if replay(Pc::Acd) {
-        det_phase_acd(g, &config.base, &mut RoundLedger::new())?
-    } else {
-        let acd = det_phase_acd(g, &config.base, &mut st.ledger)?;
-        boundary!(Pc::Acd);
-        acd
+    let fresh = RandSnapshot {
+        config: *config,
+        shatter: ShatterStats::default(),
+        recovery: RecoveryStats::default(),
+        slack_vertices: Vec::new(),
+        ring: Vec::new(),
+        degraded: Vec::new(),
     };
-    let (loopholes, cls) = if replay(Pc::Classification) {
-        det_phase_classification(g, &acd, &mut RoundLedger::new())?
-    } else {
-        let out = det_phase_classification(g, &acd, &mut st.ledger)?;
-        boundary!(Pc::Classification);
-        out
-    };
-
-    // Pre-shattering consumes the run's randomness; it is never replayed —
-    // its outputs (pair colors, slack vertices, rings) live in the
-    // snapshot.
-    if !replay(Pc::PreShattering) {
-        let (slack, ring) = st.ledger.span("pipeline/pre-shattering", |l| {
-            rand_phase_preshatter(g, config, &acd, &cls, &mut st.coloring, l, &mut st.shatter)
-        });
-        st.slack_vertices = slack;
-        st.ring = ring;
-        boundary!(Pc::PreShattering);
-    }
-
-    if !replay(Pc::PostShattering) {
-        st.ledger.span("pipeline/post-shattering", |l| {
-            rand_phase_postshatter(
-                g,
-                config,
-                &acd,
-                &cls,
-                faults,
-                sup,
-                &st.ring,
-                &mut st.coloring,
-                l,
-                &mut st.shatter,
-                &mut st.recovery,
-                &mut st.degraded,
-            )
+    let mut run = Run::new(g, probe, sup, faults, fresh)?;
+    if matches!(config.large_delta_threshold, Some(th) if g.max_degree() >= th) {
+        if resume.is_some() {
+            return Err(DeltaColoringError::Supervisor(
+                "the large-Δ branch has no phase boundaries and cannot resume".to_string(),
+            ));
+        }
+        let (coloring, shatter) = run.ledger.span("pipeline/large-delta branch", |l| {
+            color_large_delta(g, config, l)
         })?;
-        boundary!(Pc::PostShattering);
+        run.body.shatter = shatter;
+        return Ok(run.body.finish(coloring, run.ledger));
     }
-
-    if !replay(Pc::PostProcessing) {
-        st.ledger.span("pipeline/post-processing", |l| {
-            rand_phase_postprocess(g, config, &st.slack_vertices, &st.ring, &mut st.coloring, l)
+    run.supervise(resume, |run| {
+        let (acd, loopholes, cls) = run.prefix(&config.base)?;
+        // Pre-shattering consumes the run's randomness; it is never
+        // replayed — its outputs (pair colors, slack vertices, rings) live
+        // in the snapshot.
+        run.advance(Pc::PreShattering, |coloring, ledger, rs| {
+            (rs.slack_vertices, rs.ring) = ledger.span("pipeline/pre-shattering", |l| {
+                rand_phase_preshatter(g, config, &acd, &cls, coloring, l, &mut rs.shatter)
+            });
+            Ok(())
         })?;
-        boundary!(Pc::PostProcessing);
-    }
-
-    // The easy sweep is the final step of every run: always live.
-    rand_phase_easy(g, config, &loopholes, &mut st.coloring, &mut st.ledger)?;
-
-    st.coloring
-        .check_complete(g, delta as u32)
-        .map_err(|e| DeltaColoringError::InvariantViolated(format!("final coloring: {e}")))?;
-    Ok(None)
-}
-
-fn rand_boundary(
-    cursor: PhaseCursor,
-    g: &Graph,
-    config: &RandConfig,
-    faults: Option<&FaultPlan>,
-    probe: &Probe,
-    sup: &Supervisor,
-    st: &RandRunState,
-) -> Result<Option<(PhaseCursor, PathBuf)>, DeltaColoringError> {
-    let Some(dir) = &sup.checkpoint_dir else {
-        return Ok(None);
-    };
-    let snap = Snapshot {
-        version: SNAPSHOT_VERSION,
-        pipeline: PipelineKind::Randomized,
-        graph_digest: graph_digest(g),
-        n: g.n(),
-        m: g.m(),
-        cursor,
-        coloring: st.coloring.clone(),
-        ledger: st.ledger.clone(),
-        faults: faults.cloned(),
-        rand: Some(RandSnapshot {
-            config: *config,
-            shatter: st.shatter.clone(),
-            recovery: st.recovery,
-            slack_vertices: st.slack_vertices.clone(),
-            ring: st.ring.clone(),
-            degraded: st.degraded.clone(),
-        }),
-        det: None,
-    };
-    let write_start = Instant::now();
-    let path = save_snapshot(dir, &snap)?;
-    record_checkpoint_metrics(probe, write_start);
-    probe.emit_with(|| Event::Checkpoint {
-        cursor: cursor.slug().to_string(),
-        rounds: st.ledger.total(),
-    });
-    // Phase boundaries are the durability points of a supervised run: a
-    // kill after this line must find the trace as complete as the
-    // snapshot.
-    probe.flush();
-    if sup.stop_after == Some(cursor) {
-        return Ok(Some((cursor, path)));
-    }
-    Ok(None)
-}
-
-/// Records one checkpoint write into the probe's metrics hub.
-fn record_checkpoint_metrics(probe: &Probe, write_start: Instant) {
-    if let Some(hub) = probe.metrics() {
-        hub.counter("supervisor.checkpoints").incr();
-        hub.histogram("supervisor.checkpoint_write_ns")
-            .observe(u64::try_from(write_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-}
-
-/// Records a snapshot restore (validation + state reattachment) into the
-/// probe's metrics hub. No-op for fresh (non-resumed) runs.
-fn record_resume_metrics(probe: &Probe, resumed: bool, restore_start: Instant) {
-    if !resumed {
-        return;
-    }
-    if let Some(hub) = probe.metrics() {
-        hub.counter("supervisor.resumes").incr();
-        hub.histogram("supervisor.resume_restore_ns")
-            .observe(u64::try_from(restore_start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Deterministic driver.
-// ---------------------------------------------------------------------
-
-struct DetRunState {
-    coloring: Coloring,
-    ledger: RoundLedger,
-    stats: PipelineStats,
+        run.advance(Pc::PostShattering, |coloring, ledger, rs| {
+            ledger.span("pipeline/post-shattering", |l| {
+                rand_phase_postshatter(
+                    g,
+                    config,
+                    &acd,
+                    &cls,
+                    faults,
+                    sup,
+                    &rs.ring,
+                    coloring,
+                    l,
+                    &mut rs.shatter,
+                    &mut rs.recovery,
+                    &mut rs.degraded,
+                )
+            })
+        })?;
+        run.advance(Pc::PostProcessing, |coloring, ledger, rs| {
+            ledger.span("pipeline/post-processing", |l| {
+                rand_phase_postprocess(g, config, &rs.slack_vertices, &rs.ring, coloring, l)
+            })
+        })?;
+        // The easy sweep is the final step of every run: always live.
+        rand_phase_easy(g, config, &loopholes, &mut run.coloring, &mut run.ledger)?;
+        Ok(())
+    })
 }
 
 /// Runs the deterministic pipeline under `sup`, optionally resuming from
@@ -1033,250 +1092,44 @@ pub fn drive_deterministic(
     sup: &Supervisor,
     resume: Option<Snapshot>,
 ) -> Result<RunOutcome<Report>, DeltaColoringError> {
-    sup.validate()?;
-    let delta = g.max_degree();
-    if delta < 4 {
-        return Err(DeltaColoringError::UnsupportedStructure(format!(
-            "maximum degree {delta} is below the supported minimum of 4"
-        )));
-    }
-
-    let mut resume_cursor = None;
-    let restore_start = Instant::now();
-    let mut st = match resume {
-        Some(snap) => {
-            check_snapshot(&snap, g, PipelineKind::Deterministic)?;
-            let ds = snap.det.ok_or_else(|| {
-                DeltaColoringError::Supervisor(
-                    "deterministic snapshot is missing its pipeline state".to_string(),
-                )
-            })?;
-            if ds.config != *config {
-                return Err(DeltaColoringError::Supervisor(
-                    "snapshot configuration differs from the resume configuration; \
-                     resume with the snapshot's own config"
-                        .to_string(),
-                ));
-            }
-            resume_cursor = Some(snap.cursor);
-            let mut ledger = snap.ledger;
-            ledger.set_probe(probe.clone());
-            DetRunState {
-                coloring: snap.coloring,
-                ledger,
-                stats: ds.stats,
-            }
-        }
-        None => DetRunState {
-            coloring: Coloring::empty(g.n()),
-            ledger: RoundLedger::with_probe(probe.clone()),
-            stats: PipelineStats::default(),
-        },
-    };
-    record_resume_metrics(probe, resume_cursor.is_some(), restore_start);
-
-    let mut last_done = resume_cursor;
-    let flow = run_deterministic_phases(
-        g,
-        config,
-        probe,
-        sup,
-        &mut st,
-        resume_cursor,
-        &mut last_done,
-    );
-    match flow {
-        Ok(Some((cursor, snapshot))) => Ok(RunOutcome::Suspended { cursor, snapshot }),
-        Ok(None) => Ok(RunOutcome::Complete {
-            report: Report {
-                coloring: st.coloring,
-                ledger: st.ledger,
-                stats: st.stats,
-            },
-            degraded: Vec::new(),
-        }),
-        Err(e) if sup.captures_failures() => {
-            probe.flush();
-            let violations: Vec<String> =
-                crate::validate::check_coloring(g, &st.coloring, delta as u32)
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
-            let bundle = ReproBundle {
-                version: BUNDLE_VERSION,
-                pipeline: PipelineKind::Deterministic,
-                graph: g.clone(),
-                rand_config: None,
-                det_config: Some(*config),
-                faults: None,
-                chaos: sup.chaos.clone(),
-                degrade: sup.degrade,
-                cursor: last_done.map(|c| c.slug().to_string()),
-                error: e.to_string(),
-                violations: violations.clone(),
-                degraded: Vec::new(),
-                flight: sup.flight_tail(),
-                shard_config: None,
-            };
-            let path = match &sup.bundle_dir {
-                Some(dir) => Some(save_bundle(dir, &bundle)?),
-                None => None,
-            };
-            Ok(RunOutcome::Failed(FailureReport {
-                error: e.to_string(),
-                violations,
-                cursor: last_done,
-                bundle: path,
-                degraded: Vec::new(),
-            }))
-        }
-        Err(e) => Err(e),
-    }
-}
-
-fn run_deterministic_phases(
-    g: &Graph,
-    config: &Config,
-    probe: &Probe,
-    sup: &Supervisor,
-    st: &mut DetRunState,
-    resume_cursor: Option<PhaseCursor>,
-    last_done: &mut Option<PhaseCursor>,
-) -> Result<Option<(PhaseCursor, PathBuf)>, DeltaColoringError> {
     use PhaseCursor as Pc;
-    let delta = g.max_degree();
-    let replay = |c: Pc| resume_cursor.is_some_and(|rc| c.ordinal() <= rc.ordinal());
-    macro_rules! boundary {
-        ($cursor:expr) => {{
-            *last_done = Some($cursor);
-            if let Some(stop) = det_boundary($cursor, g, config, probe, sup, st)? {
-                return Ok(Some(stop));
-            }
-        }};
-    }
-
-    let acd = if replay(Pc::Acd) {
-        det_phase_acd(g, config, &mut RoundLedger::new())?
-    } else {
-        let acd = det_phase_acd(g, config, &mut st.ledger)?;
-        boundary!(Pc::Acd);
-        acd
+    let fresh = DetSnapshot {
+        config: *config,
+        stats: PipelineStats::default(),
     };
-    let (loopholes, cls) = if replay(Pc::Classification) {
-        det_phase_classification(g, &acd, &mut RoundLedger::new())?
-    } else {
-        let out = det_phase_classification(g, &acd, &mut st.ledger)?;
-        st.stats = PipelineStats {
-            cliques: acd.cliques.len(),
-            hard: out.1.hard_count(),
-            heg: out.1.heg_ids.len(),
-            loophole_vertices: out.0.count(),
-            ..PipelineStats::default()
-        };
-        boundary!(Pc::Classification);
-        out
-    };
-
-    if !cls.hard_ids.is_empty() {
-        let f2 = if replay(Pc::Phase1) {
-            det_phase1(g, &acd, &cls, config, false, &mut RoundLedger::new())?
-        } else {
-            let f2 = det_phase1(g, &acd, &cls, config, false, &mut st.ledger)?;
-            st.stats.phase1 = f2.stats.clone();
-            boundary!(Pc::Phase1);
-            f2
-        };
-        let f3 = if replay(Pc::Phase2) {
-            det_phase2(g, &acd, &cls, &f2, config, &mut RoundLedger::new())?
-        } else {
-            let f3 = det_phase2(g, &acd, &cls, &f2, config, &mut st.ledger)?;
-            st.stats.max_incoming = f3.incoming.iter().copied().max().unwrap_or(0);
-            st.stats.incoming_bound = f3.incoming_bound;
-            boundary!(Pc::Phase2);
-            f3
-        };
-        let triads = if replay(Pc::Phase3) {
-            det_phase3(g, &acd, &f3, &mut RoundLedger::new())?
-        } else {
-            let triads = det_phase3(g, &acd, &f3, &mut st.ledger)?;
-            boundary!(Pc::Phase3);
-            triads
-        };
-        if !replay(Pc::Phase4) {
-            let pair_palette: Vec<Color> = (0..delta as u32).map(Color).collect();
-            st.stats.phase4 = det_phase4(
-                g,
-                &acd,
-                &cls,
-                &triads,
-                &pair_palette,
-                &mut st.coloring,
-                config,
-                &mut st.ledger,
+    Run::new(g, probe, sup, None, fresh)?.supervise(resume, |run| {
+        let (acd, loopholes, cls) = run.prefix(config)?;
+        if !cls.hard_ids.is_empty() {
+            let f2 = run.derive(
+                Pc::Phase1,
+                |l| det_phase1(g, &acd, &cls, config, false, l),
+                |ds, f2| ds.stats.phase1 = f2.stats.clone(),
             )?;
-            boundary!(Pc::Phase4);
+            let f3 = run.derive(
+                Pc::Phase2,
+                |l| det_phase2(g, &acd, &cls, &f2, config, l),
+                |ds, f3| {
+                    ds.stats.max_incoming = f3.incoming.iter().copied().max().unwrap_or(0);
+                    ds.stats.incoming_bound = f3.incoming_bound;
+                },
+            )?;
+            let triads = run.derive(Pc::Phase3, |l| det_phase3(g, &acd, &f3, l), |_, _| {})?;
+            run.advance(Pc::Phase4, |col, l, ds| {
+                let palette: Vec<Color> = (0..g.max_degree() as u32).map(Color).collect();
+                ds.stats.phase4 = det_phase4(g, &acd, &cls, &triads, &palette, col, config, l)?;
+                Ok(())
+            })?;
         }
-    }
-
-    det_phase_easy(
-        g,
-        config,
-        &loopholes,
-        &mut st.coloring,
-        &mut st.ledger,
-        &mut st.stats,
-    )?;
-
-    st.coloring
-        .check_complete(g, delta as u32)
-        .map_err(|e| DeltaColoringError::InvariantViolated(format!("final coloring: {e}")))?;
-    Ok(None)
+        let Run {
+            coloring,
+            ledger,
+            body: ds,
+            ..
+        } = run;
+        det_phase_easy(g, config, &loopholes, coloring, ledger, &mut ds.stats)?;
+        Ok(())
+    })
 }
-
-fn det_boundary(
-    cursor: PhaseCursor,
-    g: &Graph,
-    config: &Config,
-    probe: &Probe,
-    sup: &Supervisor,
-    st: &DetRunState,
-) -> Result<Option<(PhaseCursor, PathBuf)>, DeltaColoringError> {
-    let Some(dir) = &sup.checkpoint_dir else {
-        return Ok(None);
-    };
-    let snap = Snapshot {
-        version: SNAPSHOT_VERSION,
-        pipeline: PipelineKind::Deterministic,
-        graph_digest: graph_digest(g),
-        n: g.n(),
-        m: g.m(),
-        cursor,
-        coloring: st.coloring.clone(),
-        ledger: st.ledger.clone(),
-        faults: None,
-        rand: None,
-        det: Some(DetSnapshot {
-            config: *config,
-            stats: st.stats.clone(),
-        }),
-    };
-    let write_start = Instant::now();
-    let path = save_snapshot(dir, &snap)?;
-    record_checkpoint_metrics(probe, write_start);
-    probe.emit_with(|| Event::Checkpoint {
-        cursor: cursor.slug().to_string(),
-        rounds: st.ledger.total(),
-    });
-    probe.flush();
-    if sup.stop_after == Some(cursor) {
-        return Ok(Some((cursor, path)));
-    }
-    Ok(None)
-}
-
-// ---------------------------------------------------------------------
-// Bundle replay.
-// ---------------------------------------------------------------------
 
 /// Re-executes a [`ReproBundle`] deterministically and compares the
 /// observed failure against the recorded one.

@@ -389,6 +389,120 @@ fn resume_rejects_a_slack_vertex_outside_the_graph() {
     assert!(msg.contains("slack vertex 999999 is outside"), "{msg}");
 }
 
+/// Suspends a deterministic run after classification, lets `edit` tamper
+/// with the snapshot, and returns the message `drive_deterministic`
+/// refuses it with when resumed under `resume_config`.
+fn refused_det_resume(
+    tag: &str,
+    resume_config: &Config,
+    edit: impl FnOnce(&mut Snapshot),
+) -> String {
+    let inst = circulant(40, 1);
+    let dir = TempDir::new(tag);
+    let stopper = Supervisor {
+        stop_after: Some(PhaseCursor::Classification),
+        ..checkpointing(&dir)
+    };
+    let (outcome, _) = supervised_det(&inst.graph, &Config::for_delta(16), &stopper, None);
+    let RunOutcome::Suspended { snapshot, .. } = outcome else {
+        panic!("{tag}: expected suspension");
+    };
+    let mut snap = load_snapshot(&snapshot).unwrap();
+    edit(&mut snap);
+    let err = drive_deterministic(
+        &inst.graph,
+        resume_config,
+        &Probe::disabled(),
+        &Supervisor::passive(),
+        Some(snap),
+    )
+    .unwrap_err();
+    let DeltaColoringError::Supervisor(msg) = err else {
+        panic!("{tag}: expected a supervisor error, got {err}");
+    };
+    msg
+}
+
+#[test]
+fn deterministic_resume_rejects_a_different_config() {
+    let mut other = Config::for_delta(16);
+    other.ruling_r += 1;
+    let msg = refused_det_resume("det-config", &other, |_| {});
+    assert!(msg.contains("snapshot configuration differs"), "{msg}");
+}
+
+#[test]
+fn deterministic_resume_rejects_a_truncated_coloring() {
+    let msg = refused_det_resume("det-short-coloring", &Config::for_delta(16), |snap| {
+        snap.coloring = Coloring::empty(10);
+    });
+    assert!(msg.contains("covers 10 vertices"), "{msg}");
+}
+
+#[test]
+fn deterministic_resume_refuses_a_randomized_snapshot() {
+    let inst = circulant(40, 1);
+    let dir = TempDir::new("det-from-rand");
+    let stopper = Supervisor {
+        stop_after: Some(PhaseCursor::Classification),
+        ..checkpointing(&dir)
+    };
+    let (outcome, _) = supervised_rand(&inst.graph, &shattering_config(7, 1), None, &stopper, None);
+    let RunOutcome::Suspended { snapshot, .. } = outcome else {
+        panic!("expected suspension");
+    };
+    let snap = load_snapshot(&snapshot).unwrap();
+    let err = drive_deterministic(
+        &inst.graph,
+        &Config::for_delta(16),
+        &Probe::disabled(),
+        &Supervisor::passive(),
+        Some(snap),
+    )
+    .unwrap_err();
+    let DeltaColoringError::Supervisor(msg) = err else {
+        panic!("expected a supervisor error, got {err}");
+    };
+    assert!(
+        msg.contains("written by the Randomized pipeline, resuming the Deterministic pipeline"),
+        "{msg}"
+    );
+}
+
+/// Lemma 13's incoming cap admits no valid outgoing selection on this
+/// Δ=12 instance under `Config::for_delta(12)`, so phase 2 fails after the
+/// phase-1 boundary: a real deterministic failure to capture and replay.
+#[test]
+fn deterministic_failure_captures_a_bundle_and_replay_reproduces_it() {
+    let inst = generators::hard_cliques(&HardCliqueParams {
+        cliques: 26,
+        delta: 12,
+        external_per_vertex: 1,
+        seed: 4,
+    })
+    .unwrap();
+    let dir = TempDir::new("det-bundle");
+    let sup = Supervisor {
+        bundle_dir: Some(dir.path().to_path_buf()),
+        ..Supervisor::passive()
+    };
+    let (outcome, _) = supervised_det(&inst.graph, &Config::for_delta(12), &sup, None);
+    let RunOutcome::Failed(failure) = outcome else {
+        panic!("phase 2 must fail Lemma 13 on this instance");
+    };
+    assert!(failure.error.contains("Lemma 13"), "{}", failure.error);
+    assert_eq!(failure.cursor, Some(PhaseCursor::Phase1));
+    let bundle = failure
+        .bundle
+        .expect("bundle_dir was set, bundle must save");
+    assert!(bundle.ends_with("bundle-after-phase1.json"));
+
+    let replay = replay_bundle(&bundle, &Probe::disabled()).unwrap();
+    assert!(replay.reproduced, "replaying the bundle must reproduce");
+    assert_eq!(replay.recorded_error, failure.error);
+    assert_eq!(replay.observed_violations, failure.violations);
+}
+
 #[test]
 fn injected_panic_degrades_to_brooks_and_completes() {
     let inst = circulant(80, 500);

@@ -84,11 +84,13 @@ pub use shard::{
     WireAlgo, WorkerBackend,
 };
 
-/// Writes `bytes` to `path` atomically: into `<path>.tmp` first, then
-/// renamed over `path`, so a kill mid-write never leaves a torn file
-/// under the final name. Creates missing parent directories. Every
-/// checkpoint, snapshot and repro bundle in the workspace is written
-/// through here.
+/// Writes `bytes` to `path` atomically and durably: into `<path>.tmp`
+/// first, which is synced to disk, then renamed over `path`, after which
+/// the parent directory is synced too (on Unix). A kill mid-write never
+/// leaves a torn file under the final name, and once this returns `Ok`
+/// the new file survives a power cut as well. Creates missing parent
+/// directories. Every checkpoint, snapshot and repro bundle in the
+/// workspace is written through here.
 ///
 /// ```
 /// let dir = std::env::temp_dir().join(format!("write-atomic-{}", std::process::id()));
@@ -104,13 +106,23 @@ pub use shard::{
 ///
 /// Any I/O error from creating the directory, writing, or renaming.
 pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
+    use std::io::Write;
+    // `Path::new("f").parent()` is `Some("")`: the current directory.
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => std::path::Path::new("."),
+    };
+    std::fs::create_dir_all(dir)?;
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
-    std::fs::write(&tmp, bytes)?;
-    std::fs::rename(&tmp, path)
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    // The rename is an update of the directory, which has its own sync.
+    #[cfg(unix)]
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(())
 }
 
 // Re-exported so simulator users can attach probes without naming the

@@ -16,10 +16,13 @@ use delta_coloring::graphs::generators::{hard_cliques, HardCliqueParams};
 use delta_coloring::local::RoundLedger;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // A small instance so the figures stay legible.
+    // A small instance so the figures stay legible. It is drawn from the
+    // Δ=16 family the `det_pipeline_on_hard` property test covers: at
+    // Δ=12, `Config::for_delta`'s Lemma 13 incoming cap of 4 admits no
+    // valid outgoing selection on some seeds, and phase 2 fails there.
     let inst = hard_cliques(&HardCliqueParams {
-        cliques: 26,
-        delta: 12,
+        cliques: 34,
+        delta: 16,
         external_per_vertex: 1,
         seed: 4,
     })?;
