@@ -5,7 +5,7 @@
 //!   theorem: the existence oracle. Its "round" cost is `n` (fully
 //!   sequential).
 //! * [`delta_plus_one`] — the distributed *greedy-regime* problem: one more
-//!   color makes everything easy (`O(Δ log Δ + log* n)` rounds). The gap
+//!   color makes everything easy (`O(Δ + log* n)` rounds). The gap
 //!   between this and Δ-coloring is the paper's motivation (§1).
 //! * [`global_stalling`] — the naive distributed Δ-coloring: elect a single
 //!   global slack source, layer the *entire* graph around it by BFS, and

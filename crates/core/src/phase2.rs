@@ -10,9 +10,10 @@
 //! from `F2` for any clique the split left under-supplied. Lemma 13's
 //! conclusion — two outgoing, strictly fewer than `½(Δ − 2εΔ − 1)`
 //! incoming — is guaranteed only in the paper's `ε = 1/63, K = 28`
-//! regime. Under relaxed parameters a selection within the cap may not
-//! exist, and the greedy (cliques in index order) can miss one that does;
-//! phase 2 then fails with a Lemma 13 `InvariantViolated` error (see
+//! regime. Under relaxed parameters the greedy (cliques in index order)
+//! can leave a clique short; an augmenting-path repair over `F2` then
+//! finds a selection within the cap if one exists, and phase 2 fails with
+//! a Lemma 13 `InvariantViolated` error only when none does (see
 //! DESIGN.md).
 
 use acd::AcdResult;
@@ -40,9 +41,9 @@ pub struct SparsifiedMatching {
 ///
 /// # Errors
 ///
-/// Propagates simulator errors; reports an invariant violation if the
-/// cap-aware selection cannot give every `C_HEG` clique two outgoing edges
-/// within the incoming bound (cannot happen under the paper's parameters).
+/// Propagates simulator errors; reports an invariant violation if no
+/// selection gives every `C_HEG` clique two outgoing edges within the
+/// incoming bound (cannot happen under the paper's parameters).
 pub fn sparsify_matching(
     g: &Graph,
     acd: &AcdResult,
@@ -109,48 +110,59 @@ pub fn sparsify_matching(
     // Cap-aware selection of exactly two outgoing edges per C_HEG clique,
     // preferring edges the split kept, then falling back to all of F2.
     let cap = (g.max_degree() as i64 - 2 - 2 * e_max as i64).max(0) as usize / 2;
-    let mut incoming = vec![0usize; n_cliques];
-    let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n_cliques]; // F2 indices per tail clique
-    for (i, &(t, _)) in f2.edges.iter().enumerate() {
-        out_edges[clique_of(t) as usize].push(i);
-    }
-    let mut selected: Vec<usize> = Vec::new();
+    let (tails, heads): (Vec<usize>, Vec<usize>) = f2
+        .edges
+        .iter()
+        .map(|&(t, h)| (clique_of(t) as usize, clique_of(h) as usize))
+        .unzip();
+    let mut sel = Selection::new(tails, heads, n_cliques, cap);
     let mut heg_sorted = cls.heg_ids.clone();
     heg_sorted.sort_unstable();
+    let mut repair_hops = 0;
     for &cid in &heg_sorted {
-        let mut picked = 0;
+        let cid = cid as usize;
         // Two passes: split-kept edges first, then the rest of F2.
         for pass in 0..2 {
-            if picked == 2 {
+            if sel.picks[cid].len() == 2 {
                 break;
             }
             // Candidates sorted by current head load (stable by index).
-            let mut cands: Vec<usize> = out_edges[cid as usize]
+            let mut cands: Vec<usize> = sel.out_edges[cid]
                 .iter()
                 .copied()
                 .filter(|&i| (pass == 0) == kept[i])
                 .collect();
-            cands.sort_by_key(|&i| incoming[clique_of(f2.edges[i].1) as usize]);
+            cands.sort_by_key(|&i| sel.incoming[sel.heads[i]]);
             for i in cands {
-                if picked == 2 {
+                if sel.picks[cid].len() == 2 {
                     break;
                 }
-                let head_clique = clique_of(f2.edges[i].1) as usize;
-                if incoming[head_clique] < cap {
-                    incoming[head_clique] += 1;
-                    selected.push(i);
-                    picked += 1;
+                if sel.incoming[sel.heads[i]] < cap {
+                    sel.take(i);
                 }
             }
         }
-        if picked != 2 {
-            return Err(DeltaColoringError::InvariantViolated(format!(
-                "Lemma 13: clique {cid} could not keep two outgoing edges within \
-                 the incoming cap {cap}"
-            )));
+        while sel.picks[cid].len() < 2 {
+            let Some(hops) = sel.augment(cid) else {
+                return Err(DeltaColoringError::InvariantViolated(format!(
+                    "Lemma 13: clique {cid} could not keep two outgoing edges within \
+                     the incoming cap {cap}"
+                )));
+            };
+            repair_hops += hops;
         }
     }
     ledger.charge_constant("phase2/outgoing selection", 4);
+    if repair_hops > 0 {
+        // Each hop of an augmenting path crosses an F2 edge and a clique
+        // (diameter ≤ 2): 3 rounds to find the path and 3 to flip it.
+        ledger.charge("phase2/selection repair", 6 * repair_hops as u64);
+    }
+    let incoming = sel.incoming;
+    let selected: Vec<usize> = heg_sorted
+        .iter()
+        .flat_map(|&c| sel.picks[c as usize].iter().copied())
+        .collect();
 
     let edges: Vec<(NodeId, NodeId)> = selected.iter().map(|&i| f2.edges[i]).collect();
     // The cap enforces the Lemma 16 requirement by construction; Lemma 13's
@@ -168,4 +180,101 @@ pub fn sparsify_matching(
         incoming,
         incoming_bound: bound,
     })
+}
+
+/// The outgoing-edge selection over `F2`, as a flow: every `C_HEG` tail
+/// clique needs two edges, and every head clique takes at most `cap`.
+struct Selection {
+    /// Tail and head clique per `F2` edge.
+    tails: Vec<usize>,
+    heads: Vec<usize>,
+    /// `F2` edge indices per tail clique and per head clique.
+    out_edges: Vec<Vec<usize>>,
+    in_edges: Vec<Vec<usize>>,
+    /// Selected edges per tail clique, in selection order.
+    picks: Vec<Vec<usize>>,
+    chosen: Vec<bool>,
+    incoming: Vec<usize>,
+    cap: usize,
+}
+
+impl Selection {
+    fn new(tails: Vec<usize>, heads: Vec<usize>, n_cliques: usize, cap: usize) -> Self {
+        let mut out_edges = vec![Vec::new(); n_cliques];
+        let mut in_edges = vec![Vec::new(); n_cliques];
+        for (e, (&t, &h)) in tails.iter().zip(&heads).enumerate() {
+            out_edges[t].push(e);
+            in_edges[h].push(e);
+        }
+        Selection {
+            chosen: vec![false; tails.len()],
+            tails,
+            heads,
+            out_edges,
+            in_edges,
+            picks: vec![Vec::new(); n_cliques],
+            incoming: vec![0; n_cliques],
+            cap,
+        }
+    }
+
+    fn take(&mut self, e: usize) {
+        self.chosen[e] = true;
+        self.incoming[self.heads[e]] += 1;
+        self.picks[self.tails[e]].push(e);
+    }
+
+    /// Gives `cid` one more edge along an augmenting path and returns the
+    /// path's length in tail cliques, or `None` if there is none. A path
+    /// takes an unselected edge into a full head, whose selected edge's
+    /// tail then trades it for another unselected edge, and so on until a
+    /// head below the cap is reached. Only the cliques already served
+    /// hold selected edges, so when no path exists, no selection serves
+    /// them and `cid` together.
+    fn augment(&mut self, cid: usize) -> Option<usize> {
+        let n = self.picks.len();
+        // `via[t]`: the parent's edge into a full head and `t`'s selected
+        // edge into the same head, which `t` gives up.
+        let mut via: Vec<Option<(usize, usize)>> = vec![None; n];
+        let mut head_seen = vec![false; n];
+        let mut tail_seen = vec![false; n];
+        tail_seen[cid] = true;
+        let mut queue = std::collections::VecDeque::from([cid]);
+        let mut gain = 'search: loop {
+            let t = queue.pop_front()?;
+            for &e in &self.out_edges[t] {
+                let h = self.heads[e];
+                if self.chosen[e] || head_seen[h] {
+                    continue;
+                }
+                if self.incoming[h] < self.cap {
+                    break 'search e;
+                }
+                head_seen[h] = true;
+                for &back in &self.in_edges[h] {
+                    let u = self.tails[back];
+                    if self.chosen[back] && !tail_seen[u] {
+                        tail_seen[u] = true;
+                        via[u] = Some((e, back));
+                        queue.push_back(u);
+                    }
+                }
+            }
+        };
+        self.incoming[self.heads[gain]] += 1;
+        let mut tail = self.tails[gain];
+        let mut hops = 1;
+        while let Some((parent_edge, lost)) = via[tail] {
+            self.chosen[lost] = false;
+            self.chosen[gain] = true;
+            let slot = self.picks[tail].iter().position(|&p| p == lost);
+            self.picks[tail][slot.expect("a traded edge is selected")] = gain;
+            gain = parent_edge;
+            tail = self.tails[gain];
+            hops += 1;
+        }
+        self.chosen[gain] = true;
+        self.picks[cid].push(gain);
+        Some(hops)
+    }
 }

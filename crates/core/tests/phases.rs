@@ -4,8 +4,8 @@
 
 use acd::{compute_acd, AcdParams};
 use delta_core::{
-    balanced_matching, classify_cliques, color_hard_cliques_phase4, detect_loopholes,
-    form_slack_triads, sparsify_matching, Config, HegAlgo, MatchingAlgo,
+    balanced_matching, classify_cliques, color_deterministic, color_hard_cliques_phase4,
+    detect_loopholes, form_slack_triads, sparsify_matching, Config, HegAlgo, MatchingAlgo,
 };
 use graphgen::generators::{self, HardCliqueParams};
 use graphgen::{Color, Coloring};
@@ -112,6 +112,34 @@ fn phase2_selects_two_outgoing_within_cap() {
     let e_max = 1; // ext = 1
     let cap = (16 - 2 - 2 * e_max) / 2;
     assert!(f3.incoming.iter().all(|&i| i <= cap), "{:?}", f3.incoming);
+}
+
+/// At Δ = 12 the incoming cap is 4 and tight. On seeds 1 and 5 the
+/// index-order greedy leaves a clique short although a selection exists,
+/// and the augmenting repair finds one; on seeds 4 and 6 no selection
+/// exists, so phase 2 still fails Lemma 13.
+#[test]
+fn phase2_fails_only_when_no_selection_exists() {
+    for seed in 1..=6 {
+        let inst = generators::hard_cliques(&HardCliqueParams {
+            cliques: 26,
+            delta: 12,
+            external_per_vertex: 1,
+            seed,
+        })
+        .unwrap();
+        let result = color_deterministic(&inst.graph, &Config::for_delta(12));
+        match (seed, result) {
+            (4 | 6, Err(e)) => assert!(e.to_string().contains("Lemma 13"), "seed {seed}: {e}"),
+            (4 | 6, Ok(_)) => panic!("seed {seed}: no selection exists, phase 2 must fail"),
+            (_, Ok(report)) => {
+                report.coloring.check_complete(&inst.graph, 12).unwrap();
+                let repaired = report.ledger.total_for("selection repair") > 0;
+                assert_eq!(repaired, seed == 1 || seed == 5, "seed {seed}");
+            }
+            (_, Err(e)) => panic!("seed {seed}: {e}"),
+        }
+    }
 }
 
 #[test]

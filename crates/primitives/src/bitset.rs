@@ -1,7 +1,7 @@
 //! Blocked-bitmap color tracking for the coloring hot loops.
 //!
 //! The greedy color pick inside [`crate::list_coloring`] and the
-//! Kuhn–Wattenhofer sweep in [`crate::linial`] both ask the same
+//! class sweep in [`crate::linial`] both ask the same
 //! question per scheduled node: "mark the colors my neighbors hold,
 //! then find the first unmarked one." Scanning a `Vec<bool>` (or worse,
 //! `nbrs.contains` per palette entry) makes that `O(width)` branchy

@@ -5,12 +5,12 @@
 //! the round complexities `T_MM`, `T_{deg+1}`, `T_SP`, `T_{6-rs}`):
 //!
 //! * [`linial`] — Linial's iterated color reduction: from unique ids to
-//!   `O(Δ²)` colors in `O(log* n)` rounds, and the Kuhn–Wattenhofer
-//!   parallel block reduction down to `Δ + 1` colors.
+//!   `O(Δ²)` colors in `O(log* n)` rounds, and the additive-group
+//!   reduction down to `Δ + 1` colors in `O(Δ)` more.
 //! * [`list_coloring`] — `(deg+1)`-list coloring by scheduling color
 //!   classes of a helper coloring (Lemma 24's role; our implementation
-//!   runs in `O(Δ log Δ + log* n)` rounds, between the trivial `O(Δ²)` and
-//!   the paper's `O(√(Δ log Δ))` — see DESIGN.md substitutions).
+//!   runs in `O(Δ + log* n)` rounds, the `T_{deg+1}` bound the paper's
+//!   `O(Δ + log n)` branch uses — see DESIGN.md substitutions).
 //! * [`mis`] — maximal independent sets: deterministic (color-class greedy)
 //!   and randomized (Luby).
 //! * [`ruling`] — `(2, r)`-ruling sets via MIS on the `r`-th graph power

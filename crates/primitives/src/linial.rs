@@ -1,10 +1,14 @@
-//! Linial's color reduction and the Kuhn–Wattenhofer block reduction.
+//! Linial's color reduction and the additive-group reduction to `Δ + 1`
+//! colors.
 //!
 //! [`linial_coloring`] reduces unique `u64` identifiers to `O(Δ²)` colors
 //! in `O(log* n)` communication rounds using cover-free families built from
 //! polynomials over `GF(q)` (\[Lin92\]). [`delta_plus_one_coloring`] then
-//! applies the Kuhn–Wattenhofer parallel block reduction to reach `Δ + 1`
-//! colors in `O(Δ log Δ)` further rounds.
+//! runs the locally-iterative additive-group reduction of
+//! Barenboim–Elkin–Goldenberg (PODC 2018) and a one-class-per-round sweep
+//! to reach `Δ + 1` colors in at most `2q − Δ − 1 = O(Δ)` further rounds,
+//! where `q` is the smallest prime `≥ 2Δ + 1` whose square covers
+//! Linial's `O(Δ²)` colors.
 
 use graphgen::{Color, Coloring, Graph};
 use localsim::{Executor, LocalAlgorithm, NodeCtx, Probe, SimError, Transition};
@@ -187,163 +191,142 @@ pub(crate) fn linial_coloring_probed(
     Ok(Timed::new((run.outputs, space), run.rounds))
 }
 
-/// One round of the Kuhn–Wattenhofer reduction schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KwRound {
-    /// Nodes whose color is `≡ class (mod modulus)` recolor to the smallest
-    /// free color in their block's first `width` slots.
-    Sweep {
-        modulus: u64,
-        class: u64,
-        width: u64,
-    },
-    /// Local compaction `c -> (c / modulus) * width + (c % modulus)`.
-    Remap { modulus: u64, width: u64 },
+/// The additive-group reduction of Barenboim–Elkin–Goldenberg (PODC 2018)
+/// from a proper coloring with fewer than `q²` colors to `Δ + 1` colors,
+/// as one fixed schedule of [`AdditiveReduction::rounds`] rounds.
+///
+/// A color `c` is the pair `⟨a, b⟩ = ⟨c / q, c mod q⟩` over `GF(q)`, with
+/// `q` prime and `q ≥ 2Δ + 1`.
+/// * Rounds `1..=q`: a node with `a ≠ 0` whose `b` no neighbor shares
+///   becomes final, `⟨0, b⟩`; otherwise it moves to `⟨a, b + a⟩`. Two
+///   moving neighbors with different `a` meet in `b` once per `q` rounds,
+///   and a final neighbor is met once, so each neighbor blocks a node at
+///   most twice and every node is final by round `2Δ + 1 ≤ q`.
+/// * Then the final colors `q − 1` down to `Δ + 1` are swept one class per
+///   round; a node takes the smallest color in `0..=Δ` that no neighbor
+///   holds.
+///
+/// A color space below `2q` is swept directly from its top class, with
+/// no reduction rounds: that schedule is the shorter one.
+///
+/// A node that is not final when the reduction rounds end never halts,
+/// so the executor's round budget turns it into
+/// [`SimError::RoundLimitExceeded`].
+pub(crate) struct AdditiveReduction {
+    q: u32,
+    /// Reduction rounds: `q`, or 0 when every color is already final.
+    reduce: u32,
+    /// Final classes after the reduction: `q`, or the color space.
+    top: u32,
+    delta: u32,
+    /// Initial `⟨a, b⟩` per node, from a proper coloring.
+    init: Vec<(u32, u32)>,
 }
 
-pub(crate) fn kw_schedule(mut k: u64, t: u64) -> Vec<KwRound> {
-    let mut rounds = Vec::new();
-    while k > 2 * t {
-        let two_t = 2 * t;
-        for j in (t..two_t).rev() {
-            rounds.push(KwRound::Sweep {
-                modulus: two_t,
-                class: j,
-                width: t,
-            });
-        }
-        rounds.push(KwRound::Remap {
-            modulus: two_t,
-            width: t,
-        });
-        k = k.div_ceil(two_t) * t;
-    }
-    for j in (t..k).rev() {
-        rounds.push(KwRound::Sweep {
-            modulus: u64::MAX,
-            class: j,
-            width: t,
-        });
-    }
-    rounds
-}
-
-pub(crate) struct KwAlgo {
-    rounds: Vec<KwRound>,
-    /// `(first, end)` round indices of each level: its sweeps from the
-    /// highest class down, then its `Remap` (the last level ends with
-    /// the schedule's last round instead).
-    levels: Vec<(usize, usize)>,
-    /// Initial proper coloring (KW needs properness, not uniqueness, so it
-    /// cannot ride on the executor's uid mechanism).
-    init_colors: Vec<u64>,
-}
-
-impl KwAlgo {
-    pub(crate) fn new(rounds: Vec<KwRound>, init_colors: Vec<u64>) -> Self {
-        let mut levels = Vec::new();
-        let mut first = 0;
-        for (i, round) in rounds.iter().enumerate() {
-            if matches!(round, KwRound::Remap { .. }) || i + 1 == rounds.len() {
-                levels.push((first, i + 1));
-                first = i + 1;
-            }
-        }
-        KwAlgo {
-            rounds,
-            levels,
-            init_colors,
-        }
-    }
-}
-
-impl LocalAlgorithm for KwAlgo {
-    type State = u64;
-    type Output = u64;
-
-    fn init(&self, ctx: &NodeCtx) -> u64 {
-        self.init_colors[ctx.node.index()]
-    }
-
-    fn step(&self, ctx: &NodeCtx, state: &u64, nbrs: &[u64]) -> Transition<u64, u64> {
-        let idx = ctx.round as usize - 1;
-        let Some(&round) = self.rounds.get(idx) else {
-            return Transition::Halt(*state);
+impl AdditiveReduction {
+    /// The reduction of the proper coloring `colors` (all `< space`) on a
+    /// graph of maximum degree `delta ≥ 1`.
+    pub(crate) fn new(colors: &[u64], space: u64, delta: u64) -> Self {
+        let root = space.isqrt();
+        let root = if root * root < space { root + 1 } else { root };
+        let q = next_prime((2 * delta + 1).max(root));
+        let q = u32::try_from(q).expect("field size fits in u32");
+        let (reduce, top, init) = if space < 2 * u64::from(q) {
+            (
+                0,
+                space as u32,
+                colors.iter().map(|&c| (0, c as u32)).collect(),
+            )
+        } else {
+            let split = |c: u64| ((c / u64::from(q)) as u32, (c % u64::from(q)) as u32);
+            (q, q, colors.iter().map(|&c| split(c)).collect())
         };
-        let mut c = *state;
-        match round {
-            KwRound::Sweep {
-                modulus,
-                class,
-                width,
-            } => {
-                let in_class = if modulus == u64::MAX {
-                    c == class
-                } else {
-                    c % modulus == class
-                };
-                if in_class {
-                    let base = if modulus == u64::MAX {
-                        0
-                    } else {
-                        (c / modulus) * modulus
-                    };
-                    // Blocked bitmap: widths are t = Δ+1, so the mask
-                    // lives entirely in the bitset's inline words and the
-                    // pick is a couple of `trailing_ones`, not a byte scan.
-                    let mut taken = crate::bitset::ColorBitset::new(width as usize);
-                    for &nc in nbrs {
-                        if nc >= base && nc < base + width {
-                            taken.mark((nc - base) as usize);
-                        }
-                    }
-                    let slot = taken
-                        .first_clear()
-                        .expect("at most Δ neighbors cannot fill Δ+1 slots");
-                    c = base + slot as u64;
-                }
-            }
-            KwRound::Remap { modulus, width } => {
-                c = (c / modulus) * width + (c % modulus);
-            }
+        AdditiveReduction {
+            q,
+            reduce,
+            top,
+            delta: delta as u32,
+            init,
         }
-        if idx + 1 == self.rounds.len() {
+    }
+
+    /// The schedule length every node knows: the reduction rounds, then
+    /// one sweep round per class `top − 1` down to `Δ + 1`.
+    pub(crate) fn rounds(&self) -> u64 {
+        u64::from(self.reduce + self.top - self.delta) - 1
+    }
+
+    /// The round in which final color `b > Δ` is swept.
+    fn sweep_round(&self, b: u32) -> u64 {
+        u64::from(self.reduce + self.top - b)
+    }
+}
+
+impl LocalAlgorithm for AdditiveReduction {
+    type State = (u32, u32);
+    type Output = u32;
+
+    fn init(&self, ctx: &NodeCtx) -> (u32, u32) {
+        self.init[ctx.node.index()]
+    }
+
+    fn step(
+        &self,
+        ctx: &NodeCtx,
+        &(a, b): &(u32, u32),
+        nbrs: &[(u32, u32)],
+    ) -> Transition<(u32, u32), u32> {
+        if a != 0 {
+            if ctx.round > u64::from(self.reduce) {
+                // Not final within the reduction: the budget reports it.
+                return Transition::Continue((a, b));
+            }
+            return if nbrs.iter().any(|&(_, nb)| nb == b) {
+                let moved = (u64::from(b) + u64::from(a)) % u64::from(self.q);
+                Transition::Continue((a, moved as u32))
+            } else {
+                Transition::Continue((0, b))
+            };
+        }
+        let mut c = b;
+        if c > self.delta && ctx.round == self.sweep_round(c) {
+            // Widths are Δ + 1, so the mask lives in the bitset's inline
+            // words and the pick is a couple of `trailing_ones`.
+            let mut taken = crate::bitset::ColorBitset::new(self.delta as usize + 1);
+            for &(_, nb) in nbrs {
+                taken.mark(nb as usize);
+            }
+            c = taken
+                .first_clear()
+                .expect("at most Δ neighbors cannot fill Δ+1 slots") as u32;
+        }
+        if ctx.round == self.rounds() {
             Transition::Halt(c)
         } else {
-            Transition::Continue(c)
+            Transition::Continue((0, c))
         }
     }
 
-    /// A node next acts in its class's sweep of the current level, or
-    /// else in the level's last round (its `Remap`, or the schedule's
-    /// halting round); every round in between leaves its color alone.
-    fn wake(&self, ctx: &NodeCtx, c: &u64) -> u64 {
-        // The next round's 0-based index. The first level starts at 0,
-        // so at least one level qualifies.
-        let next = ctx.round as usize;
-        let level = self.levels.partition_point(|&(first, _)| first <= next);
-        let (first, end) = self.levels[level - 1];
-        let mut act = end - 1;
-        if let KwRound::Sweep {
-            modulus,
-            class: top,
-            width,
-        } = self.rounds[first]
-        {
-            let residue = if modulus == u64::MAX { *c } else { c % modulus };
-            if (width..=top).contains(&residue) {
-                let sweep = first + (top - residue) as usize;
-                if sweep >= next {
-                    act = sweep;
-                }
-            }
+    /// A moving node acts every round. A final node next acts in its
+    /// class's sweep, or else in the halting round; every round in
+    /// between leaves its color alone.
+    fn wake(&self, ctx: &NodeCtx, &(a, b): &(u32, u32)) -> u64 {
+        if a != 0 {
+            ctx.round + 1
+        } else if b > self.delta && self.sweep_round(b) > ctx.round {
+            self.sweep_round(b)
+        } else {
+            self.rounds()
         }
-        act as u64 + 1
     }
 }
 
-/// Computes a proper coloring with `Δ + 1` colors in
-/// `O(Δ log Δ + log* n)` rounds (Linial followed by Kuhn–Wattenhofer).
+/// Computes a proper coloring with `Δ + 1` colors in `O(Δ + log* n)`
+/// rounds (Linial followed by the additive-group reduction).
+///
+/// The rounds charged are the fixed schedule length that every node
+/// knows in advance: Linial's steps plus at most `2q − Δ − 1` reduction
+/// and sweep rounds.
 ///
 /// # Examples
 ///
@@ -366,8 +349,8 @@ pub fn delta_plus_one_coloring(
 }
 
 /// [`delta_plus_one_coloring`] with per-round telemetry mirrored to
-/// `probe`: every executor round (Linial steps and KW sweeps alike)
-/// surfaces as a `round` event.
+/// `probe`: every executor round (Linial steps, reduction rounds and
+/// sweeps alike) surfaces as a `round` event.
 ///
 /// # Errors
 ///
@@ -380,20 +363,18 @@ pub fn delta_plus_one_coloring_probed(
     let delta = g.max_degree() as u64;
     let linial = linial_coloring_probed(g, uids, probe)?;
     let (colors, space) = linial.value;
-    let t = delta + 1;
-    if space <= t {
+    if space <= delta + 1 {
         let coloring = Coloring::from_vec(colors.iter().map(|&c| Some(Color(c as u32))).collect());
         return Ok(Timed::new(coloring, linial.rounds));
     }
-    let rounds = kw_schedule(space, t);
-    let budget = rounds.len() as u64 + 1;
-    let algo = KwAlgo::new(rounds, colors);
+    let algo = AdditiveReduction::new(&colors, space, delta);
+    let rounds = algo.rounds();
     let run = Executor::new(g)
         .with_threads(localsim::default_threads())
         .with_probe(probe.clone())
-        .run(&algo, budget)?;
-    let coloring = Coloring::from_vec(run.outputs.iter().map(|&c| Some(Color(c as u32))).collect());
-    Ok(Timed::new(coloring, linial.rounds + run.rounds))
+        .run(&algo, rounds)?;
+    let coloring = Coloring::from_vec(run.outputs.iter().map(|&c| Some(Color(c))).collect());
+    Ok(Timed::new(coloring, linial.rounds + rounds))
 }
 
 #[cfg(test)]
@@ -439,6 +420,41 @@ mod tests {
         assert!(colors.iter().all(|&c| c < space));
         assert!(space <= 1000);
         assert!(out.rounds <= 6);
+    }
+
+    #[test]
+    fn field_covers_twice_delta_and_the_color_space() {
+        // Δ = 61 with Linial's 67² colors: q = 127, 127 + 65 rounds.
+        let r = AdditiveReduction::new(&[], 67 * 67, 61);
+        assert_eq!((r.q, r.rounds()), (127, 192));
+        // A color space wider than (2Δ + 1)² sets q: ⌈√1000⌉ = 32 → 37.
+        let r = AdditiveReduction::new(&[], 1000, 2);
+        assert_eq!((r.q, r.rounds()), (37, 71));
+        // q² may equal the space exactly.
+        assert_eq!(AdditiveReduction::new(&[], 49, 2).q, 7);
+        assert_eq!(AdditiveReduction::new(&[], 50, 2).q, 11);
+        // Below 2q colors, sweeping from the top class is shorter: Δ = 15,
+        // q = 31, 40 colors sweep classes 39..=16 in 24 rounds, not 46.
+        let r = AdditiveReduction::new(&[], 40, 15);
+        assert_eq!((r.q, r.reduce, r.rounds()), (31, 0, 24));
+        assert_eq!(AdditiveReduction::new(&[], 62, 15).rounds(), 46);
+    }
+
+    #[test]
+    fn a_node_not_final_by_round_q_is_an_error() {
+        // Equal start colors break the precondition: the two nodes share
+        // `b` in every round, so neither becomes final, and the run fails
+        // at the schedule's end instead of returning a color.
+        let g = generators::complete(2);
+        let algo = AdditiveReduction::new(&[3, 3], 6, 1);
+        let err = Executor::new(&g).run(&algo, algo.rounds()).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::RoundLimitExceeded {
+                limit: algo.rounds(),
+                still_running: 2
+            }
+        );
     }
 
     #[test]

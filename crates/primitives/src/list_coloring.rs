@@ -3,14 +3,14 @@
 //! Given a subgraph `H` in which every vertex `v` holds a palette of at
 //! least `deg_H(v) + 1` colors, a proper coloring from the palettes always
 //! exists and can be computed greedily. Distributedly we first compute a
-//! helper `(Δ_H + 1)`-coloring of `H` (Linial + Kuhn–Wattenhofer, see
-//! [`crate::linial`]) and then sweep its color classes: when a class is
-//! scheduled, each of its members picks the smallest palette color unused
-//! by already-colored neighbors — at that moment at most `deg_H(v)` colors
-//! are blocked, so a palette color is always free.
+//! helper `(Δ_H + 1)`-coloring of `H` (Linial + the additive-group
+//! reduction, see [`crate::linial`]) and then sweep its color classes:
+//! when a class is scheduled, each of its members picks the smallest
+//! palette color unused by already-colored neighbors — at that moment at
+//! most `deg_H(v)` colors are blocked, so a palette color is always free.
 //!
 //! This plays the role of the paper's `T_{deg+1}` subroutine (Lemma 24);
-//! our round complexity is `O(Δ_H log Δ_H + log* n)`.
+//! our round complexity is `O(Δ_H + log* n)`, the bound §3.8 assumes.
 
 use graphgen::{Color, Coloring, Graph, NodeId};
 use localsim::{Executor, LocalAlgorithm, NodeCtx, Probe, SimError, Transition};
@@ -157,7 +157,7 @@ impl LocalAlgorithm for SweepAlgo {
 }
 
 /// Colors every vertex of `h` from its palette, properly, in
-/// `O(Δ_H log Δ_H + log* n)` rounds.
+/// `O(Δ_H + log* n)` rounds.
 ///
 /// # Examples
 ///

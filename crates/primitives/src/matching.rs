@@ -130,7 +130,7 @@ impl LocalAlgorithm for ClassSweepMatching {
 
 /// Deterministic maximal matching via an edge coloring (a vertex coloring
 /// of the line graph) whose classes are swept greedily;
-/// `O(Δ log Δ + log* n)` rounds, with per-round telemetry mirrored to
+/// `O(Δ + log* n)` rounds, with per-round telemetry mirrored to
 /// `probe`. Rounds on the line graph cost one real round each
 /// (edge-incident messages).
 ///

@@ -77,7 +77,7 @@ impl LocalAlgorithm for ClassGreedyMis {
 }
 
 /// Deterministic MIS by sweeping the classes of a `(Δ+1)`-coloring;
-/// `O(Δ log Δ + log* n)` rounds in total.
+/// `O(Δ + log* n)` rounds in total.
 ///
 /// # Examples
 ///

@@ -1,4 +1,4 @@
-//! The `wake` hints of the Kuhn–Wattenhofer reduction and the list
+//! The `wake` hints of the additive-group reduction and the list
 //! coloring sweep, checked against the same algorithms with the hint
 //! stripped: outputs, rounds and per-round telemetry must be identical at
 //! every thread count.
@@ -10,7 +10,7 @@ use graphgen::generators::{self, HardCliqueParams};
 use graphgen::{Color, Graph};
 use localsim::{Event, Executor, LocalAlgorithm, NodeCtx, Probe, RecordingSink, Transition};
 
-use crate::linial::{kw_schedule, linial_coloring, KwAlgo};
+use crate::linial::{linial_coloring, AdditiveReduction};
 use crate::list_coloring::SweepAlgo;
 
 /// Forwards `init` and `step` and keeps the default `wake`, so every
@@ -68,6 +68,8 @@ fn graphs() -> Vec<(&'static str, Graph)> {
     vec![
         ("cycle", generators::cycle(64)),
         ("complete", generators::complete(9)),
+        // 10 ids below 2q = 26: swept from the top class, no reduction.
+        ("complete_bipartite", generators::complete_bipartite(4, 6)),
         ("hypercube", generators::hypercube(5)),
         ("random_regular", generators::random_regular(120, 6, 3)),
         ("gnp", generators::gnp(150, 0.06, 7)),
@@ -134,21 +136,20 @@ where
 }
 
 #[test]
-fn kw_reduction_runs_the_same_with_and_without_its_wake_hint() {
+fn additive_reduction_runs_the_same_with_and_without_its_wake_hint() {
     for (name, g) in graphs() {
-        let target = g.max_degree() as u64 + 1;
+        let delta = g.max_degree() as u64;
         // Linial's output (the pipeline's input) and the index coloring
-        // (a long multi-level schedule).
+        // (a wider color space).
         let (linial, space) = linial_coloring(&g, None).unwrap().value;
         let index: Vec<u64> = (0..g.n() as u64).collect();
         for (start, space) in [(linial, space), (index, g.n() as u64)] {
-            if space <= target {
+            if space <= delta + 1 {
                 continue;
             }
-            let rounds = kw_schedule(space, target);
-            let budget = rounds.len() as u64 + 1;
+            let budget = AdditiveReduction::new(&start, space, delta).rounds();
             assert_hint_is_invisible(name, &g, budget, || {
-                KwAlgo::new(rounds.clone(), start.clone())
+                AdditiveReduction::new(&start, space, delta)
             });
         }
     }

@@ -1,6 +1,9 @@
 //! Property-based tests for the distributed primitives: every subroutine's
 //! output invariant, over randomized graph families and seeds.
 
+use graphgen::generators::{
+    EasyCliqueParams, HardCliqueParams, LoopholeKind, MixedParams, SparseDenseParams,
+};
 use graphgen::{generators, Color, Graph};
 use primitives::{linial, list_coloring, matching, mis, ruling, split};
 use proptest::prelude::*;
@@ -17,16 +20,107 @@ fn graph_from(family: u8, size: usize, seed: u64) -> Graph {
     }
 }
 
+/// Every graphgen family, parameterized by (family, size, seed).
+fn any_family(family: u8, size: usize, seed: u64) -> Graph {
+    let hard = HardCliqueParams {
+        cliques: 26 + 2 * (size % 6),
+        delta: 12,
+        external_per_vertex: 1,
+        seed,
+    };
+    match family % 15 {
+        0 => generators::path(size.max(2)),
+        1 => generators::cycle(size.max(3)),
+        2 => generators::complete(2 + size % 12),
+        3 => generators::complete_bipartite(1 + size % 7, 1 + size % 11),
+        4 => generators::star(1 + size % 20),
+        5 => generators::hypercube(1 + size % 6),
+        6 => generators::clique_ring(3 + size % 5, 4 + 2 * (size % 4)),
+        7 => generators::isolated_cliques(1 + size % 5, 1 + size % 9),
+        8 => generators::random_tree(size.max(2), seed),
+        9 => generators::gnp(size.max(4), 0.15, seed),
+        10 => generators::random_regular(size.max(8) / 2 * 2, 4, seed),
+        11 => generators::hard_cliques(&hard).unwrap().graph,
+        12 => {
+            generators::easy_cliques(&EasyCliqueParams {
+                base: hard,
+                easy: 3,
+                kind: if seed.is_multiple_of(2) {
+                    LoopholeKind::LowDegree
+                } else {
+                    LoopholeKind::FourCycle
+                },
+            })
+            .unwrap()
+            .graph
+        }
+        13 => {
+            generators::mixed_dense(&MixedParams {
+                base: hard,
+                easy_low_degree: 2,
+                easy_four_cycle: 2,
+            })
+            .unwrap()
+            .graph
+        }
+        _ => {
+            generators::sparse_dense_mix(&SparseDenseParams {
+                cliques: 26,
+                delta: 12,
+                sparse: 40 + 2 * size,
+                cross: 6,
+                seed,
+            })
+            .unwrap()
+            .graph
+        }
+    }
+}
+
+/// Sparse, large, distinct `u64` ids: `v ↦ (v ⊕ k) · φ` is a bijection
+/// of `u64` for odd `φ`.
+fn sparse_uids(n: usize, seed: u64) -> Vec<u64> {
+    (0..n as u64)
+        .map(|v| (v ^ seed.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect()
+}
+
+/// The helper's fixed schedule, derived independently: Linial's rounds,
+/// then `min(space, 2q) − Δ − 1` rounds for Linial's color space and the
+/// smallest prime `q ≥ 2Δ + 1` with `q² ≥ space`.
+fn helper_schedule(g: &Graph, uids: Option<Vec<u64>>) -> u64 {
+    let linial = linial::linial_coloring(g, uids).unwrap();
+    let (space, delta) = (linial.value.1, g.max_degree() as u64);
+    if space <= delta + 1 {
+        return linial.rounds;
+    }
+    let is_prime = |x: u64| {
+        (2..)
+            .take_while(|d| d * d <= x)
+            .all(|d| !x.is_multiple_of(d))
+    };
+    let q = (2 * delta + 1..)
+        .find(|&q| is_prime(q) && u128::from(q) * u128::from(q) >= u128::from(space))
+        .unwrap();
+    linial.rounds + space.min(2 * q) - delta - 1
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Δ+1-coloring is always proper and inside the palette.
+    /// On every family, with default and with sparse large ids, the
+    /// helper's coloring is proper with at most Δ+1 colors, and its rounds
+    /// are the fixed schedule length.
     #[test]
-    fn delta_plus_one_proper(family in 0u8..6, size in 8usize..60, seed in 0u64..100) {
-        let g = graph_from(family, size, seed);
-        prop_assume!(g.max_degree() >= 1);
-        let out = linial::delta_plus_one_coloring(&g, None).unwrap();
-        out.value.check_complete(&g, g.max_degree() as u32 + 1).unwrap();
+    fn delta_plus_one_on_every_family(size in 8usize..60, seed in 0u64..100) {
+        for family in 0..15 {
+            let g = any_family(family, size, seed);
+            for uids in [None, Some(sparse_uids(g.n(), seed))] {
+                let out = linial::delta_plus_one_coloring(&g, uids.clone()).unwrap();
+                out.value.check_complete(&g, g.max_degree() as u32 + 1).unwrap();
+                prop_assert_eq!(out.rounds, helper_schedule(&g, uids));
+            }
+        }
     }
 
     /// (deg+1)-list coloring respects arbitrary (feasible) palettes.

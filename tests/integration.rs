@@ -187,6 +187,40 @@ fn round_ledger_totals_are_consistent() {
     assert!(report.ledger.total_for("phase1") > 0);
 }
 
+/// The deterministic pipeline's ledger on `delta-color gen --cliques 80
+/// --delta 16 --seed 2` under `Config::for_delta(16)` (what `delta-color
+/// color` runs), pinned charge by charge. A change that moves a phase's
+/// rounds updates this table in the same commit and says why.
+#[test]
+fn det_pipeline_round_charges_match_the_committed_ledger() {
+    let inst = generators::hard_cliques(&hard_params(80, 16, 2)).unwrap();
+    let report = color_deterministic(&inst.graph, &Config::for_delta(16)).unwrap();
+    let charges: Vec<(&str, u64)> = report
+        .ledger
+        .entries()
+        .iter()
+        .map(|e| (e.phase.as_str(), e.rounds))
+        .collect();
+    assert_eq!(
+        charges,
+        [
+            ("acd computation", 8),
+            ("loophole detection", 3),
+            ("hard-easy classification", 2),
+            ("phase1/maximal matching F1", 10),
+            ("phase1/hyperedge grabbing", 39),
+            ("phase1/F2 rearrangement", 2),
+            ("phase2/degree splitting (2 levels)", 300),
+            ("phase2/outgoing selection", 4),
+            ("phase3/slack triad formation", 1),
+            ("phase4a/slack pair coloring", 66),
+            ("phase4b/instance 1", 59),
+            ("phase4b/instance 2", 1),
+        ]
+    );
+    assert_eq!(report.rounds(), 495);
+}
+
 /// Scaled-down variant of [`paper_scale_stress`] that runs in the default
 /// suite (and CI): same Δ = 64 paper parameters and assertions, 4× fewer
 /// cliques (128 is the bipartite blueprint's minimum for Δ = 64) so it
