@@ -4,7 +4,7 @@ use baselines::{delta_plus_one, global_stalling, random_trial_stuck};
 use delta_core::{color_deterministic, color_randomized, Config, RandConfig};
 use graphgen::generators::{self, BlueprintKind, EasyCliqueParams, HardCliqueParams, LoopholeKind};
 use hypergraph::generators::random_hypergraph;
-use hypergraph::{heg_augmenting, heg_blocking, heg_token_walk, verify_heg};
+use hypergraph::{heg_augmenting, heg_token_walk, verify_heg};
 use primitives::{matching, mis, ruling, split};
 use serde::Value;
 
@@ -316,7 +316,6 @@ pub fn e4_heg_scaling(quick: bool) -> ExperimentOutput {
         "δ/r",
         "n",
         "augmenting rounds",
-        "blocking rounds",
         "token-walk rounds",
     ]);
     for &(d, r) in margins {
@@ -324,8 +323,6 @@ pub fn e4_heg_scaling(quick: bool) -> ExperimentOutput {
             let h = random_hypergraph(n, d, r, (n + d) as u64).expect("hypergraph generation");
             let aug = heg_augmenting(&h).expect("augmenting HEG");
             assert!(verify_heg(&h, &aug.value));
-            let blk = heg_blocking(&h).expect("blocking HEG");
-            assert!(verify_heg(&h, &blk.value));
             let tok = heg_token_walk(&h, 7).expect("token-walk HEG");
             assert!(verify_heg(&h, &tok.value));
             table.row(&[
@@ -334,7 +331,6 @@ pub fn e4_heg_scaling(quick: bool) -> ExperimentOutput {
                 format!("{:.2}", d as f64 / r as f64),
                 n.to_string(),
                 aug.rounds.to_string(),
-                blk.rounds.to_string(),
                 tok.rounds.to_string(),
             ]);
         }
@@ -343,7 +339,9 @@ pub fn e4_heg_scaling(quick: bool) -> ExperimentOutput {
         "## E4 — Lemma 5: hyperedge grabbing in `O(log_(δ/r) n)` rounds\n\n\
          Random multihypergraphs with exact vertex degree δ and rank ≤ r. Lemma 5 predicts \
          fewer rounds for larger expansion margins δ/r and logarithmic growth in n at a \
-         fixed margin; both solvers (DESIGN.md substitution D1) should show that shape.\n\n{}\n",
+         fixed margin. Both of phase 1's solvers should show that shape: the deterministic \
+         augmenting solver (the default) and the randomized token walk (DESIGN.md decision \
+         D1).\n\n{}\n",
         table.to_markdown()
     );
     record(
@@ -786,10 +784,12 @@ pub fn e9_split(quick: bool) -> ExperimentOutput {
     }
     let markdown = format!(
         "## E9 — Lemma 21 / Corollary 22: degree splitting\n\n\
-         Euler-walk splitting with even segments. Lemma 21 allows discrepancy ε·d(v)+4; \
-         our even-segment variant gives `1 + 2·(odd-cycle defects)` independent of ε \
-         (stronger; see DESIGN.md). Rounds are dominated by the walk-power MIS, flat-ish \
-         in n (log* growth).\n\n{}\n\
+         Euler-walk splitting. Lemma 21 allows discrepancy ε·d(v)+4. The code alternates \
+         parts along each whole walk (its segment breakpoints do not change the result), \
+         which gives `1 + 2·(odd-cycle defects)` independent of ε; that bound comes from a \
+         walk-long computation, not the local one the charged rounds describe (ROADMAP \
+         item 2). Charged rounds are dominated by the walk-power MIS, flat-ish in n \
+         (log* growth).\n\n{}\n\
          ### Ablation D3: recursion depth (Corollary 22's 2^i parts; pipeline uses i = 2)\n\n\
          Deviations compound geometrically with the levels, exactly as Corollary 22's \
          `a = 2·Σ(1/2+ε/4)^j` predicts.\n\n{}\n",

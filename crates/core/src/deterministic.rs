@@ -20,8 +20,6 @@ use crate::phase4::{color_hard_cliques_phase4, Phase4Stats};
 pub enum MatchingAlgo {
     /// Deterministic class-scheduled proposals (default; `O(n+m)` memory).
     DetDirect,
-    /// Deterministic line-graph color-class sweep (small instances).
-    DetLineGraph,
     /// Randomized Israeli–Itai proposals with the given seed.
     Rand(u64),
 }
@@ -33,8 +31,6 @@ pub enum HegAlgo {
     Augmenting,
     /// Randomized deficiency-token walk with the given seed.
     TokenWalk(u64),
-    /// Centralized exact matching (oracle; charged a single round).
-    Sequential,
 }
 
 /// Configuration of the deterministic pipeline.
@@ -459,23 +455,6 @@ mod tests {
         let b = color_deterministic(&inst.graph, &Config::for_delta(16)).unwrap();
         assert_eq!(a.coloring, b.coloring);
         assert_eq!(a.rounds(), b.rounds());
-    }
-
-    #[test]
-    fn alternative_subroutines_also_work() {
-        let inst = hard(34, 16, 1, 36);
-        for (matching, heg) in [
-            (MatchingAlgo::Rand(7), HegAlgo::TokenWalk(9)),
-            (MatchingAlgo::DetLineGraph, HegAlgo::Sequential),
-        ] {
-            let config = Config {
-                matching,
-                heg,
-                ..Config::for_delta(16)
-            };
-            let report = color_deterministic(&inst.graph, &config).unwrap();
-            verify_delta_coloring(&inst.graph, &report.coloring).unwrap();
-        }
     }
 
     #[test]

@@ -101,9 +101,6 @@ pub fn balanced_matching(
         MatchingAlgo::DetDirect => {
             primitives::matching::maximal_matching_det_direct_probed(&hgraph, &probe)?
         }
-        MatchingAlgo::DetLineGraph => {
-            primitives::matching::maximal_matching_det_probed(&hgraph, &probe)?
-        }
         MatchingAlgo::Rand(seed) => {
             primitives::matching::maximal_matching_rand_probed(&hgraph, seed, &probe)?
         }
@@ -236,7 +233,6 @@ pub fn balanced_matching(
                 let t = hypergraph::heg_token_walk(&hyper, seed)?;
                 (t.value, t.rounds)
             }
-            HegAlgo::Sequential => (hypergraph::heg_sequential(&hyper)?, 1),
         }
     };
     let heg_rounds = heg_raw_rounds * HEG_DILATION;

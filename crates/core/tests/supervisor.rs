@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use delta_core::{
-    drive_deterministic, drive_randomized, load_snapshot, replay_bundle, ChaosPlan, Config,
-    DeltaColoringError, PhaseCursor, RandConfig, RandReport, Report, RunOutcome, Snapshot,
+    drive_deterministic, drive_randomized, load_bundle, load_snapshot, replay_bundle, ChaosPlan,
+    Config, DeltaColoringError, PhaseCursor, RandConfig, RandReport, Report, RunOutcome, Snapshot,
     Supervisor,
 };
 use graphgen::coloring::verify_delta_coloring;
@@ -704,6 +704,36 @@ fn golden_bundle_replay_reproduces_the_recorded_failure() {
         "golden bundle no longer reproduces: recorded `{}` vs observed `{:?}`",
         replay.recorded_error, replay.observed_error
     );
+}
+
+/// Phase 1 selects only the `DetDirect`/`Rand` matchings and the
+/// `Augmenting`/`TokenWalk` HEG solvers: a bundle or snapshot naming a
+/// removed variant is an error on load, not a panic.
+#[test]
+fn bundles_and_snapshots_naming_a_removed_phase1_solver_are_refused() {
+    let dir = TempDir::new("removed-solvers");
+    let stopper = Supervisor {
+        stop_after: Some(PhaseCursor::Classification),
+        ..checkpointing(&dir)
+    };
+    let inst = circulant(40, 1);
+    let (outcome, _) = supervised_rand(&inst.graph, &shattering_config(7, 1), None, &stopper, None);
+    let RunOutcome::Suspended { snapshot, .. } = outcome else {
+        panic!("expected suspension");
+    };
+    let bundle = std::fs::read_to_string(golden_bundle_path()).unwrap();
+    let snapshot = std::fs::read_to_string(snapshot).unwrap();
+    let edited = dir.path().join("edited.json");
+    for (from, to) in [
+        (r#""heg":"Augmenting""#, r#""heg":"Sequential""#),
+        (r#""matching":"DetDirect""#, r#""matching":"DetLineGraph""#),
+    ] {
+        assert!(bundle.contains(from) && snapshot.contains(from), "{from}");
+        std::fs::write(&edited, bundle.replace(from, to)).unwrap();
+        assert!(load_bundle(&edited).is_err(), "bundle naming {to}");
+        std::fs::write(&edited, snapshot.replace(from, to)).unwrap();
+        assert!(load_snapshot(&edited).is_err(), "snapshot naming {to}");
+    }
 }
 
 /// Regenerates `tests/data/golden-bundle.json`. Run with:

@@ -51,7 +51,7 @@ pub fn verify_heg(h: &Hypergraph, grab: &[u32]) -> bool {
 }
 
 /// Exact centralized solver: Kuhn's augmenting-path bipartite matching,
-/// saturating every vertex. Ground-truth oracle for tests and a fallback.
+/// saturating every vertex. The ground-truth oracle of the tests.
 ///
 /// # Errors
 ///
@@ -217,150 +217,6 @@ fn shortest_augmenting_path(
     None
 }
 
-/// Deterministic solver: Hopcroft–Karp style *blocking phases*.
-///
-/// Each phase builds one global BFS layering of the incidence structure
-/// from **all** unsaturated vertices at once (cost: the layering depth),
-/// then augments along a maximal set of vertex- and edge-disjoint shortest
-/// paths found by a layered DFS (cost: another depth's worth of rounds).
-/// Against [`heg_augmenting`]'s per-root BFS, the phase structure
-/// guarantees the shortest augmenting-path length strictly increases per
-/// phase, bounding the phase count by the final path length — on expanding
-/// instances `O(log_{δ/r} n)` phases of `O(log_{δ/r} n)` depth.
-///
-/// # Examples
-///
-/// ```
-/// use hypergraph::{heg_blocking, verify_heg};
-/// let h = hypergraph::generators::random_hypergraph(100, 6, 4, 2)?;
-/// let out = heg_blocking(&h)?;
-/// assert!(verify_heg(&h, &out.value));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-///
-/// # Errors
-///
-/// [`HegError::Infeasible`] when some vertex has no augmenting path.
-pub fn heg_blocking(h: &Hypergraph) -> Result<Timed<Vec<u32>>, HegError> {
-    let mut owner: Vec<Option<u32>> = vec![None; h.edge_count()];
-    let mut grab: Vec<Option<u32>> = vec![None; h.n()];
-    let mut rounds = 0u64;
-    loop {
-        let unsaturated: Vec<u32> = (0..h.n() as u32)
-            .filter(|&v| grab[v as usize].is_none())
-            .collect();
-        if unsaturated.is_empty() {
-            break;
-        }
-        // Global BFS layering: vertex levels from all roots simultaneously.
-        let mut level: Vec<u32> = vec![u32::MAX; h.n()];
-        let mut frontier: Vec<u32> = unsaturated.clone();
-        for &v in &frontier {
-            level[v as usize] = 0;
-        }
-        let mut free_level: Option<u32> = None;
-        let mut depth = 0u32;
-        while !frontier.is_empty() && free_level.is_none() {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &e in h.incident(v) {
-                    match owner[e as usize] {
-                        None => free_level = Some(depth),
-                        Some(u) => {
-                            if level[u as usize] == u32::MAX {
-                                level[u as usize] = depth + 1;
-                                next.push(u);
-                            }
-                        }
-                    }
-                }
-            }
-            depth += 1;
-            frontier = next;
-        }
-        rounds += u64::from(depth) + 1;
-        let Some(limit) = free_level else {
-            return Err(HegError::Infeasible);
-        };
-        // Layered DFS: augment along disjoint shortest paths only.
-        rounds += u64::from(limit) * 2 + 2;
-        let mut edge_used = vec![false; h.edge_count()];
-        let mut augmented = false;
-        for &root in &unsaturated {
-            if grab[root as usize].is_some() {
-                continue;
-            }
-            let mut path = Vec::new();
-            if layered_dfs(
-                h,
-                root,
-                limit,
-                &level,
-                &mut edge_used,
-                &owner,
-                &grab,
-                &mut path,
-            ) {
-                for &(v, e) in &path {
-                    owner[e as usize] = Some(v);
-                    grab[v as usize] = Some(e);
-                }
-                augmented = true;
-            }
-        }
-        if !augmented {
-            // The layering found a free edge, so at least one shortest
-            // path must exist and be applied.
-            return Err(HegError::Infeasible);
-        }
-    }
-    Ok(Timed::new(
-        grab.into_iter().map(|g| g.expect("saturated")).collect(),
-        rounds,
-    ))
-}
-
-/// DFS restricted to strictly level-increasing steps and unused edges;
-/// writes the (vertex, edge) reassignments into `path`.
-#[allow(clippy::too_many_arguments)]
-fn layered_dfs(
-    h: &Hypergraph,
-    v: u32,
-    budget: u32,
-    level: &[u32],
-    edge_used: &mut [bool],
-    owner: &[Option<u32>],
-    grab: &[Option<u32>],
-    path: &mut Vec<(u32, u32)>,
-) -> bool {
-    for &e in h.incident(v) {
-        if edge_used[e as usize] {
-            continue;
-        }
-        match owner[e as usize] {
-            None => {
-                edge_used[e as usize] = true;
-                path.push((v, e));
-                return true;
-            }
-            Some(u) => {
-                if budget == 0
-                    || grab[u as usize] != Some(e)
-                    || level[u as usize] != level[v as usize] + 1
-                {
-                    continue;
-                }
-                edge_used[e as usize] = true;
-                if layered_dfs(h, u, budget - 1, level, edge_used, owner, grab, path) {
-                    path.push((v, e));
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
 /// Randomized solver: deficiency-token walk.
 ///
 /// Every unsaturated vertex proposes to a uniformly random incident
@@ -511,28 +367,6 @@ mod tests {
         let h = small();
         let out = heg_augmenting(&h).unwrap();
         assert!(verify_heg(&h, &out.value));
-    }
-
-    #[test]
-    fn blocking_solves_small() {
-        let h = small();
-        let out = heg_blocking(&h).unwrap();
-        assert!(verify_heg(&h, &out.value));
-    }
-
-    #[test]
-    fn blocking_detects_infeasible() {
-        let h = Hypergraph::new(2, vec![vec![0, 1]]).unwrap();
-        assert!(matches!(heg_blocking(&h), Err(HegError::Infeasible)));
-    }
-
-    #[test]
-    fn blocking_agrees_on_random_instances() {
-        for seed in 0..5 {
-            let h = random_hypergraph(300, 6, 4, 100 + seed).unwrap();
-            let out = heg_blocking(&h).unwrap();
-            assert!(verify_heg(&h, &out.value), "seed {seed}");
-        }
     }
 
     #[test]

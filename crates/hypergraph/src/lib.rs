@@ -12,12 +12,11 @@
 //!
 //! * [`Hypergraph`] — the incidence structure with validation,
 //! * [`heg_sequential`] — an exact centralized solver (bipartite matching
-//!   saturating all vertices), used as the ground-truth oracle,
+//!   saturating all vertices), the tests' ground-truth oracle; no pipeline
+//!   runs it,
 //! * [`heg_augmenting`] — a deterministic distributed-style solver: phases
 //!   of parallel shortest augmenting paths; the expansion `δ/r > 1`
 //!   guarantees `O(log_{δ/r} n)`-length paths always exist,
-//! * [`heg_blocking`] — a deterministic Hopcroft–Karp-style solver:
-//!   blocking phases of disjoint shortest augmenting paths,
 //! * [`heg_token_walk`] — a randomized solver in the spirit of sinkless-
 //!   orientation algorithms: deficiency tokens walk through steals until
 //!   they hit a free hyperedge,
@@ -33,23 +32,8 @@ mod structure;
 pub mod generators;
 
 pub use heg::{
-    heg_augmenting, heg_blocking, heg_sequential, heg_token_walk, sinkless_orientation, verify_heg,
-    HegError, Orientation,
+    heg_augmenting, heg_sequential, heg_token_walk, sinkless_orientation, verify_heg, HegError,
+    Orientation,
 };
+pub use localsim::Timed;
 pub use structure::{Hypergraph, HypergraphError};
-
-/// A solver result together with the LOCAL-style rounds it consumed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Timed<T> {
-    /// The computed result.
-    pub value: T,
-    /// Measured rounds (see the solver docs for the exact accounting).
-    pub rounds: u64,
-}
-
-impl<T> Timed<T> {
-    /// Wraps a result with its round count.
-    pub fn new(value: T, rounds: u64) -> Self {
-        Timed { value, rounds }
-    }
-}

@@ -166,6 +166,32 @@ pub struct RunResult<O> {
     pub rounds: u64,
 }
 
+/// A subroutine's result together with the LOCAL rounds it consumed: what
+/// the primitives and the HEG solvers return so callers can charge a
+/// [`RoundLedger`](crate::RoundLedger).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Timed<T> {
+    /// The computed result.
+    pub value: T,
+    /// Rounds consumed (see each subroutine's docs for its accounting).
+    pub rounds: u64,
+}
+
+impl<T> Timed<T> {
+    /// Wraps a result with its round count.
+    pub fn new(value: T, rounds: u64) -> Self {
+        Timed { value, rounds }
+    }
+
+    /// Maps the value, keeping the round count.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Timed<U> {
+        Timed {
+            value: f(self.value),
+            rounds: self.rounds,
+        }
+    }
+}
+
 /// Runs [`LocalAlgorithm`]s over a graph.
 #[derive(Debug)]
 pub struct Executor<'g> {

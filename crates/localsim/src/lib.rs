@@ -69,7 +69,9 @@ pub mod shard;
 mod tally;
 
 pub use congest::{CongestError, CongestExecutor, CongestResult, RoundBits};
-pub use exec::{Executor, LocalAlgorithm, NodeCtx, RunResult, SimError, Transition, EXEC_SCOPE};
+pub use exec::{
+    Executor, LocalAlgorithm, NodeCtx, RunResult, SimError, Timed, Transition, EXEC_SCOPE,
+};
 pub use faults::FaultPlan;
 pub use ledger::{LedgerEntry, RoundLedger};
 pub use msg::{broadcast, MessageExecutor, MessageProgram, MsgTransition, Outgoing, MSG_SCOPE};

@@ -15,8 +15,9 @@
 //!   and randomized (Luby).
 //! * [`ruling`] — `(2, r)`-ruling sets via MIS on the `r`-th graph power
 //!   run as a virtual graph (Lemma 19's role).
-//! * [`matching`] — maximal matching: deterministic (edge-coloring classes
-//!   on the line graph) and randomized (Israeli–Itai style proposals).
+//! * [`matching`] — maximal matching: deterministic (proposals scheduled by
+//!   the classes of a `(Δ+1)`-coloring) and randomized (Israeli–Itai style
+//!   proposals).
 //! * [`split`] — degree splitting (Lemma 21 / Corollary 22's role): Euler
 //!   partition into walks, even-length segment chopping via a ruling set on
 //!   the walk structure, and alternating 2-coloring.
@@ -41,26 +42,4 @@ pub mod split;
 #[cfg(test)]
 mod wake_tests;
 
-/// Output of a primitive: the result plus the LOCAL rounds it took.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Timed<T> {
-    /// The computed result.
-    pub value: T,
-    /// Measured LOCAL rounds.
-    pub rounds: u64,
-}
-
-impl<T> Timed<T> {
-    /// Wraps a result with its round count.
-    pub fn new(value: T, rounds: u64) -> Self {
-        Timed { value, rounds }
-    }
-
-    /// Maps the value, keeping the round count.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> Timed<U> {
-        Timed {
-            value: f(self.value),
-            rounds: self.rounds,
-        }
-    }
-}
+pub use localsim::Timed;

@@ -1,5 +1,6 @@
-//! Maximal matching: deterministic (edge-coloring class sweep on the line
-//! graph) and randomized (Israeli–Itai style proposal rounds).
+//! Maximal matching: deterministic (proposals scheduled by the classes of
+//! a `(Δ+1)`-vertex coloring) and randomized (Israeli–Itai style proposal
+//! rounds).
 
 use graphgen::{Graph, NodeId};
 use localsim::{Executor, LocalAlgorithm, NodeCtx, Probe, SimError, Transition};
@@ -52,129 +53,15 @@ impl Matching {
     }
 }
 
-/// The line graph of `g`: one vertex per edge, adjacency = shared endpoint.
-/// Returns the line graph and the edge list indexing its vertices.
-pub(crate) fn line_graph(g: &Graph) -> (Graph, Vec<(NodeId, NodeId)>) {
-    let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
-    let mut incident: Vec<Vec<u32>> = vec![Vec::new(); g.n()];
-    for (i, &(u, v)) in edges.iter().enumerate() {
-        incident[u.index()].push(i as u32);
-        incident[v.index()].push(i as u32);
-    }
-    let mut ledges = Vec::new();
-    for inc in &incident {
-        for (a, &i) in inc.iter().enumerate() {
-            for &j in &inc[a + 1..] {
-                ledges.push((i.min(j), i.max(j)));
-            }
-        }
-    }
-    ledges.sort_unstable();
-    ledges.dedup();
-    let lg = Graph::from_edges(edges.len(), ledges).expect("line graph is valid");
-    (lg, edges)
-}
-
-struct ClassSweepMatching {
-    /// Edge color class per line-graph vertex (edge of `g`).
-    schedule: Vec<u32>,
-    classes: u32,
-}
-
-/// Line-graph node state: whether this edge has joined the matching, or is
-/// blocked by an adjacent joined edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EdgeState {
-    Undecided,
-    In,
-    Out,
-}
-
-impl LocalAlgorithm for ClassSweepMatching {
-    type State = EdgeState;
-    type Output = bool;
-
-    fn init(&self, _ctx: &NodeCtx) -> EdgeState {
-        EdgeState::Undecided
-    }
-
-    fn step(
-        &self,
-        ctx: &NodeCtx,
-        state: &EdgeState,
-        nbrs: &[EdgeState],
-    ) -> Transition<EdgeState, bool> {
-        match state {
-            EdgeState::In => return Transition::Halt(true),
-            EdgeState::Out => return Transition::Halt(false),
-            EdgeState::Undecided => {}
-        }
-        if nbrs.contains(&EdgeState::In) {
-            return if ctx.round >= u64::from(self.classes) {
-                Transition::Halt(false)
-            } else {
-                Transition::Continue(EdgeState::Out)
-            };
-        }
-        if ctx.round - 1 == u64::from(self.schedule[ctx.node.index()]) {
-            if ctx.round >= u64::from(self.classes) {
-                Transition::Halt(true)
-            } else {
-                Transition::Continue(EdgeState::In)
-            }
-        } else {
-            Transition::Continue(EdgeState::Undecided)
-        }
-    }
-}
-
-/// Deterministic maximal matching via an edge coloring (a vertex coloring
-/// of the line graph) whose classes are swept greedily;
-/// `O(Δ + log* n)` rounds, with per-round telemetry mirrored to
-/// `probe`. Rounds on the line graph cost one real round each
-/// (edge-incident messages).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn maximal_matching_det_probed(g: &Graph, probe: &Probe) -> Result<Timed<Matching>, SimError> {
-    let (lg, edges) = line_graph(g);
-    if edges.is_empty() {
-        return Ok(Timed::new(Matching::from_edges(g.n(), Vec::new()), 0));
-    }
-    let helper = delta_plus_one_coloring_probed(&lg, None, probe)?;
-    let classes = lg.max_degree() as u32 + 1;
-    let schedule: Vec<u32> = lg
-        .vertices()
-        .map(|v| helper.value.get(v).expect("complete coloring").0)
-        .collect();
-    let algo = ClassSweepMatching { schedule, classes };
-    let run = Executor::new(&lg)
-        .with_threads(localsim::default_threads())
-        .with_probe(probe.clone())
-        .run(&algo, u64::from(classes) + 2)?;
-    let chosen: Vec<(NodeId, NodeId)> = run
-        .outputs
-        .iter()
-        .enumerate()
-        .filter(|&(_, &b)| b)
-        .map(|(i, _)| edges[i])
-        .collect();
-    Ok(Timed::new(
-        Matching::from_edges(g.n(), chosen),
-        helper.rounds + run.rounds,
-    ))
-}
-
-/// Deterministic class-scheduled proposal matching (no line graph).
+/// Deterministic class-scheduled proposal matching.
 ///
 /// Sweeps the classes of a `(Δ+1)`-vertex coloring; in its class slot every
 /// unmatched vertex proposes to its smallest-uid unmatched neighbor, and
 /// targets accept their smallest-uid proposer. A vertex can be rejected at
 /// most `Δ` times in total (each rejection matches one of its neighbors),
 /// so at most `Δ + 2` sweeps run: `O(Δ²)` rounds worst case, a handful of
-/// sweeps in practice, and — unlike the line-graph algorithm — only
-/// `O(n + m)` memory.
+/// sweeps in practice, and only `O(n + m)` memory (no line graph is
+/// built).
 struct ClassProposalMatching {
     schedule: Vec<u32>,
     classes: u32,
@@ -291,9 +178,9 @@ impl LocalAlgorithm for ClassProposalMatching {
     }
 }
 
-/// Deterministic maximal matching without materializing the line graph;
-/// `O(Δ² + log* n)` rounds worst case, `O(n + m)` memory. Preferred by the
-/// Δ-coloring pipeline at scale.
+/// Deterministic maximal matching by class-scheduled proposals;
+/// `O(Δ² + log* n)` rounds worst case, `O(n + m)` memory. Phase 1's
+/// matching in the deterministic Δ-coloring pipeline.
 ///
 /// # Examples
 ///
@@ -534,15 +421,6 @@ mod tests {
     use graphgen::generators;
 
     #[test]
-    fn line_graph_of_triangle_is_triangle() {
-        let g = generators::complete(3);
-        let (lg, edges) = line_graph(&g);
-        assert_eq!(lg.n(), 3);
-        assert_eq!(lg.m(), 3);
-        assert_eq!(edges.len(), 3);
-    }
-
-    #[test]
     fn det_matching_maximal_on_families() {
         for g in [
             generators::cycle(21),
@@ -551,7 +429,7 @@ mod tests {
             generators::random_regular(80, 5, 6),
             generators::star(9),
         ] {
-            let out = maximal_matching_det_probed(&g, &Probe::disabled()).unwrap();
+            let out = maximal_matching_det_direct(&g).unwrap();
             assert!(out.value.is_maximal(&g));
         }
     }
@@ -574,7 +452,7 @@ mod tests {
     #[test]
     fn single_edge_matches() {
         let g = Graph::from_edges(2, [(0, 1)]).unwrap();
-        let out = maximal_matching_det_probed(&g, &Probe::disabled()).unwrap();
+        let out = maximal_matching_det_direct(&g).unwrap();
         assert_eq!(out.value.edges, vec![(NodeId(0), NodeId(1))]);
         let out = maximal_matching_rand(&g, 3).unwrap();
         assert_eq!(out.value.edges, vec![(NodeId(0), NodeId(1))]);
@@ -583,7 +461,7 @@ mod tests {
     #[test]
     fn empty_graph_empty_matching() {
         let g = Graph::from_edges(4, []).unwrap();
-        assert!(maximal_matching_det_probed(&g, &Probe::disabled())
+        assert!(maximal_matching_det_direct(&g)
             .unwrap()
             .value
             .edges

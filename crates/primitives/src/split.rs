@@ -4,17 +4,17 @@
 //! vertex the two color counts are nearly equal. We implement the Euler
 //! partition approach: pair up the incident edges at every vertex, which
 //! decomposes the edge set into walks (paths and cycles); 2-coloring a walk
-//! alternately makes every paired pair bichromatic. To keep the local
-//! computation shallow the walks are chopped into segments of **even**
-//! length `Θ(K)` using an MIS on the `K`-th power of the walk structure;
-//! even segment lengths keep the alternation consistent across segment
-//! boundaries, so the only discrepancy sources are walk endpoints (±1 at
-//! odd-degree vertices) and one unavoidable defect per odd cycle (±2 at a
-//! single vertex of that cycle).
-//!
-//! Guarantee: `disc(v) ≤ 1 + 2·(odd-cycle defects charged to v)`; in
-//! aggregate this is stronger than Lemma 21's `ε·d(v) + 4` for every ε.
-//! The measured rounds are `T_MIS(walk graph^K)·K + O(K)`.
+//! alternately makes every paired pair bichromatic. The walks are chopped
+//! into segments at breakpoints chosen by an MIS on the `K`-th power of the
+//! walk structure, but every segment is nudged to even length and restarts
+//! at part 0, so the code computes the whole-walk alternation
+//! (`part[e] = i mod 2` along each walk) and the breakpoints do not change
+//! it. The discrepancy sources are walk endpoints (±1 at odd-degree
+//! vertices) and one defect per odd cycle (±2 at one of its vertices):
+//! `disc(v) ≤ 1 + 2·(odd-cycle defects charged to v)`. That bound comes
+//! from a walk-long computation, not the local one the charged rounds
+//! `T_MIS(walk graph^K)·K + O(K)` describe, so it is no evidence against
+//! Lemma 21's `ε·d(v) + 4`; ROADMAP item 2 tracks making the split local.
 
 use std::collections::HashMap;
 
