@@ -6,10 +6,9 @@
 //! path, sparse cycle, dense clique) and pins the perf trajectory in a
 //! machine-readable file.
 //!
-//! Variants per (topology, executor):
-//!
-//! * `seq` — the allocation-free double-buffered loop;
-//! * `par2`/`par4` — the deterministic parallel stepping path.
+//! Every case has the one variant `seq`: the executors step each round
+//! on the calling thread (the report keeps the `variant` field so its
+//! schema and `benchdiff`'s case keys stay unchanged).
 //!
 //! Usage (a harness-free bench binary):
 //!
@@ -103,7 +102,6 @@ struct Case {
     topology: &'static str,
     n: usize,
     executor: &'static str,
-    variant: &'static str,
     m: Measurement,
 }
 
@@ -143,9 +141,9 @@ fn main() {
     for (topology, g, t) in &topologies {
         let n = g.n();
         let budget = t + 2;
-        let mut push = |executor: &'static str, variant: &'static str, m: Measurement| {
+        let mut push = |executor: &'static str, m: Measurement| {
             println!(
-                "executors/{topology}/n={n}/{executor}/{variant}: mean {:.3} ms, min {:.3} ms",
+                "executors/{topology}/n={n}/{executor}/seq: mean {:.3} ms, min {:.3} ms",
                 m.mean_ns / 1e6,
                 m.min_ns / 1e6
             );
@@ -153,7 +151,6 @@ fn main() {
                 topology,
                 n,
                 executor,
-                variant,
                 m,
             });
         };
@@ -162,49 +159,23 @@ fn main() {
         let algo = StateFlood { t: *t };
         push(
             "state",
-            "seq",
             measure(test_mode, samples, |b| {
                 b.iter(|| Executor::new(g).run(&algo, budget).unwrap())
             }),
         );
-        for (variant, k) in [("par2", 2usize), ("par4", 4)] {
-            push(
-                "state",
-                variant,
-                measure(test_mode, samples, |b| {
-                    b.iter(|| Executor::new(g).with_threads(k).run(&algo, budget).unwrap())
-                }),
-            );
-        }
 
         // Per-port message executor.
         let prog = MsgFlood { t: *t };
         push(
             "message",
-            "seq",
             measure(test_mode, samples, |b| {
                 b.iter(|| MessageExecutor::new(g).run(&prog, budget).unwrap())
             }),
         );
-        for (variant, k) in [("par2", 2usize), ("par4", 4)] {
-            push(
-                "message",
-                variant,
-                measure(test_mode, samples, |b| {
-                    b.iter(|| {
-                        MessageExecutor::new(g)
-                            .with_threads(k)
-                            .run(&prog, budget)
-                            .unwrap()
-                    })
-                }),
-            );
-        }
 
         // CONGEST metering on top of the message executor.
         push(
             "congest",
-            "seq",
             measure(test_mode, samples, |b| {
                 b.iter(|| {
                     CongestExecutor::new(g, 64, msg_width)
@@ -213,20 +184,6 @@ fn main() {
                 })
             }),
         );
-        for (variant, k) in [("par2", 2usize), ("par4", 4)] {
-            push(
-                "congest",
-                variant,
-                measure(test_mode, samples, |b| {
-                    b.iter(|| {
-                        CongestExecutor::new(g, 64, msg_width)
-                            .with_threads(k)
-                            .run(&prog, budget)
-                            .unwrap()
-                    })
-                }),
-            );
-        }
     }
 
     if let Some(path) = json_path {
@@ -250,7 +207,7 @@ fn main() {
                                 ("topology".to_string(), Value::Str(c.topology.to_string())),
                                 ("n".to_string(), Value::U64(c.n as u64)),
                                 ("executor".to_string(), Value::Str(c.executor.to_string())),
-                                ("variant".to_string(), Value::Str(c.variant.to_string())),
+                                ("variant".to_string(), Value::Str("seq".to_string())),
                                 ("mean_ns".to_string(), Value::F64(c.m.mean_ns)),
                                 ("min_ns".to_string(), Value::F64(c.m.min_ns)),
                             ])

@@ -9,14 +9,15 @@
 //! telemetry deterministically: the observable outcome is bit-identical
 //! at every thread count (pinned by `tests/pipeline_parallel.rs`).
 //!
-//! Thread-count semantics mirror the executors (`localsim`): `0` resolves
-//! to [`localsim::default_threads`] (the `LOCALSIM_THREADS` / `--threads`
-//! default), `1` runs inline on the calling thread, `k ≥ 2` leases a
-//! persistent [`localsim::WorkerPool`] of `k` slots — parked threads
-//! reused across calls on the same pipeline thread, not respawned per
-//! stage — whose workers pull unit indices from a shared counter
-//! (dynamic scheduling — component sizes are heavy-tailed, so static
-//! chunking would idle workers).
+//! Thread counts: `0` resolves to [`localsim::default_threads`] (the
+//! `LOCALSIM_THREADS` / `--threads` default), `1` runs inline on the
+//! calling thread, `k ≥ 2` leases a persistent [`localsim::WorkerPool`]
+//! of `k` slots — parked threads reused across calls on the same
+//! pipeline thread, not respawned per stage — whose workers pull unit
+//! indices from a shared counter (dynamic scheduling — component sizes
+//! are heavy-tailed, so static chunking would idle workers). The
+//! executors a unit runs step sequentially inside its job, so no pool
+//! is ever leased inside another.
 //!
 //! With a [`MetricsHub`] attached the pool decomposes its wall-clock into
 //! the quantities ROADMAP item 1 needs: per-worker busy/idle/merge lanes
@@ -74,8 +75,7 @@ where
 /// counters, the `pool.call_ns` histogram, worker wake-up latency, the
 /// per-epoch `pool.steals_per_epoch_sched` histogram, caller-side merge
 /// time, and one busy/idle/merge lane per worker slot; with `hub`
-/// absent the original unmetered loops run — no `Instant::now` calls on
-/// any path.
+/// absent the same loops take no timestamps.
 ///
 /// # Panics
 ///
@@ -98,85 +98,74 @@ where
         hub.counter("pool.calls").incr();
         hub.counter("pool.units").add(len as u64);
     }
+    // Timestamps only when a hub listens: `None` on the unmetered path.
+    let stamp = || hub.map(|_| Instant::now());
     if k <= 1 {
         let mut scratch = init();
-        if let Some(hub) = hub {
+        let start = stamp();
+        let out: Vec<T> = (0..len).map(|i| f(&mut scratch, i)).collect();
+        if let (Some(hub), Some(start)) = (hub, start) {
             let lane = hub.worker_lane(0);
-            let start = Instant::now();
-            let out: Vec<T> = (0..len).map(|i| f(&mut scratch, i)).collect();
             let busy = elapsed_ns(start);
             lane.busy_ns.fetch_add(busy, Ordering::Relaxed);
             lane.units.fetch_add(len as u64, Ordering::Relaxed);
             hub.histogram("pool.call_ns").observe(busy);
-            return out;
         }
-        return (0..len).map(|i| f(&mut scratch, i)).collect();
+        return out;
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..len).map(|_| Mutex::new(None)).collect();
     let mut lease = localsim::pool_lease(k);
-    match hub {
-        None => {
-            lease.run_epoch(&|_slot| {
-                let mut scratch = init();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
-                    }
-                    let out = f(&mut scratch, i);
-                    *slots[i].lock().expect("pool slot poisoned") = Some(out);
-                }
-            });
+    let call_start = stamp();
+    // A worker's fair share; anything claimed beyond it was "stolen"
+    // from slower workers by the dynamic scheduler.
+    let fair_share = len.div_ceil(k) as u64;
+    let epoch_steals = AtomicU64::new(0);
+    lease.run_epoch(&|slot| {
+        if let (Some(hub), Some(start)) = (hub, call_start) {
+            hub.counter("pool.spawn_ns").add(elapsed_ns(start));
         }
-        Some(hub) => {
-            let call_start = Instant::now();
-            // A worker's fair share; anything claimed beyond it was
-            // "stolen" from slower workers by the dynamic scheduler.
-            let fair_share = len.div_ceil(k) as u64;
-            let epoch_steals = AtomicU64::new(0);
-            lease.run_epoch(&|slot| {
-                let lane = hub.worker_lane(slot);
-                hub.counter("pool.spawn_ns").add(elapsed_ns(call_start));
-                let mut scratch = init();
-                let mut busy = 0u64;
-                let mut idle = 0u64;
-                let mut merge = 0u64;
-                let mut claimed = 0u64;
-                let mut prev = Instant::now();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= len {
-                        break;
-                    }
-                    let work_start = Instant::now();
-                    idle += ns_between(prev, work_start);
-                    let out = f(&mut scratch, i);
-                    let work_end = Instant::now();
-                    busy += ns_between(work_start, work_end);
-                    *slots[i].lock().expect("pool slot poisoned") = Some(out);
-                    prev = Instant::now();
-                    merge += ns_between(work_end, prev);
-                    claimed += 1;
-                }
-                let steals = claimed.saturating_sub(fair_share);
-                lane.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                lane.idle_ns.fetch_add(idle, Ordering::Relaxed);
-                lane.merge_ns.fetch_add(merge, Ordering::Relaxed);
-                lane.units.fetch_add(claimed, Ordering::Relaxed);
-                lane.steals.fetch_add(steals, Ordering::Relaxed);
-                epoch_steals.fetch_add(steals, Ordering::Relaxed);
-            });
-            // Per-epoch steal reporting: one observation per pool call,
-            // so the histogram's count/quantiles expose how skewed each
-            // individual epoch was, not just the run total. The `_sched`
-            // suffix keeps it out of `deterministic_snapshot()` —
-            // which worker over-claims depends on OS scheduling.
-            hub.histogram("pool.steals_per_epoch_sched")
-                .observe(epoch_steals.load(Ordering::Relaxed));
-            hub.histogram("pool.call_ns")
-                .observe(elapsed_ns(call_start));
+        let mut scratch = init();
+        let (mut busy, mut idle, mut merge, mut claimed) = (0u64, 0u64, 0u64, 0u64);
+        let mut prev = stamp();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                break;
+            }
+            let work_start = stamp();
+            let out = f(&mut scratch, i);
+            let work_end = stamp();
+            *slots[i].lock().expect("pool slot poisoned") = Some(out);
+            let stored = stamp();
+            if let (Some(p), Some(ws), Some(we), Some(st)) = (prev, work_start, work_end, stored) {
+                idle += ns_between(p, ws);
+                busy += ns_between(ws, we);
+                merge += ns_between(we, st);
+            }
+            prev = stored;
+            claimed += 1;
         }
+        if let Some(hub) = hub {
+            let lane = hub.worker_lane(slot);
+            let steals = claimed.saturating_sub(fair_share);
+            lane.busy_ns.fetch_add(busy, Ordering::Relaxed);
+            lane.idle_ns.fetch_add(idle, Ordering::Relaxed);
+            lane.merge_ns.fetch_add(merge, Ordering::Relaxed);
+            lane.units.fetch_add(claimed, Ordering::Relaxed);
+            lane.steals.fetch_add(steals, Ordering::Relaxed);
+            epoch_steals.fetch_add(steals, Ordering::Relaxed);
+        }
+    });
+    if let (Some(hub), Some(start)) = (hub, call_start) {
+        // Per-epoch steal reporting: one observation per pool call, so
+        // the histogram's count/quantiles expose how skewed each
+        // individual epoch was, not just the run total. The `_sched`
+        // suffix keeps it out of `deterministic_snapshot()` — which
+        // worker over-claims depends on OS scheduling.
+        hub.histogram("pool.steals_per_epoch_sched")
+            .observe(epoch_steals.load(Ordering::Relaxed));
+        hub.histogram("pool.call_ns").observe(elapsed_ns(start));
     }
     drop(lease);
     let collect_start = hub.map(|_| Instant::now());

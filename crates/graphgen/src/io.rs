@@ -298,13 +298,19 @@ pub fn decode_runs(
 ///
 /// # Errors
 ///
-/// Rejects truncated payloads, malformed varints, zero-length runs,
+/// Rejects a vertex count past [`MAX_VERTICES`] (before allocating
+/// anything), truncated payloads, malformed varints, zero-length runs,
 /// ids at or past the declared vertex count, and trailing bytes.
 pub fn decode_graph(bytes: &[u8]) -> Result<Graph, IoError> {
     let mut pos = 0usize;
-    let n = usize::try_from(get_varint(bytes, &mut pos)?)
-        .map_err(|_| binary_malformed("vertex count overflows usize"))?;
-    let limit = u32::try_from(n).map_err(|_| binary_malformed("vertex count overflows u32"))?;
+    let n = get_varint(bytes, &mut pos)?;
+    if n > MAX_VERTICES as u64 {
+        return Err(binary_malformed(&format!(
+            "vertex count {n} exceeds the {MAX_VERTICES}-vertex cap"
+        )));
+    }
+    // Both fit: MAX_VERTICES is below u32::MAX.
+    let (n, limit) = (n as usize, n as u32);
     // Pass 1: degrees (each forward edge (v, w) counts for both ends).
     let mut deg = vec![0usize; n];
     let body = pos;
@@ -492,6 +498,24 @@ mod tests {
         // Varint that overflows u64.
         let overflow = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F];
         assert!(decode_graph(&overflow).is_err());
+    }
+
+    /// A header alone may not size an allocation past the cap the text
+    /// reader enforces: the vertex count is refused before any body
+    /// byte is read.
+    #[test]
+    fn binary_vertex_count_past_the_cap_is_refused() {
+        for n in [MAX_VERTICES as u64 + 1, u64::from(u32::MAX)] {
+            let mut header = Vec::new();
+            put_varint(&mut header, n);
+            let err = decode_graph(&header).unwrap_err().to_string();
+            assert!(err.contains("cap"), "n = {n}: {err}");
+        }
+        // The cap itself is a count, not an error.
+        let mut header = Vec::new();
+        put_varint(&mut header, MAX_VERTICES as u64);
+        let err = decode_graph(&header).unwrap_err().to_string();
+        assert!(!err.contains("cap"), "{err}");
     }
 
     #[test]

@@ -134,7 +134,6 @@ pub struct CongestExecutor<'g, F> {
     budget_bits: usize,
     size_of: F,
     probe: Probe,
-    threads: usize,
     faults: Option<crate::FaultPlan>,
 }
 
@@ -147,7 +146,6 @@ impl<'g, F> CongestExecutor<'g, F> {
             budget_bits,
             size_of,
             probe: Probe::disabled(),
-            threads: 1,
             faults: None,
         }
     }
@@ -172,24 +170,11 @@ impl<'g, F> CongestExecutor<'g, F> {
         self.probe = probe;
         self
     }
-
-    /// Opts into deterministic parallel stepping of the inner
-    /// [`MessageExecutor`] with `k` worker threads. Metering reductions
-    /// are commutative (max/sum/histogram merge; the reported budget
-    /// violation is the earliest-round one, widest within a round), so
-    /// results and telemetry are identical to the sequential path.
-    #[must_use]
-    pub fn with_threads(mut self, k: usize) -> Self {
-        self.threads = k.max(1);
-        self
-    }
 }
 
 /// Internal wrapper program that meters the inner program's messages.
-///
-/// Stats sit behind a `Mutex` so the wrapper stays `Sync` and can be
-/// stepped by the inner executor's parallel path; every update is a
-/// commutative reduction, keeping metered results schedule-independent.
+/// `MessageProgram::step` takes `&self`, so the stats sit in a
+/// `RefCell`.
 struct Metered<'p, P, F> {
     inner: &'p P,
     size_of: F,
@@ -197,15 +182,14 @@ struct Metered<'p, P, F> {
     /// Whether to build per-round width histograms (only when a probe
     /// listens; the scan is pure telemetry).
     hist: bool,
-    stats: std::sync::Mutex<MeterStats>,
+    stats: std::cell::RefCell<MeterStats>,
 }
 
 #[derive(Default)]
 struct MeterStats {
     max_bits: usize,
     total_bits: u64,
-    /// The earliest-round over-budget message (widest within that round):
-    /// a deterministic choice under any stepping schedule.
+    /// The earliest-round over-budget message, widest within that round.
     violation: Option<(usize, u64)>,
     per_round: Vec<RoundAcc>,
 }
@@ -232,7 +216,7 @@ impl<P: MessageProgram, F: Fn(&P::Msg) -> usize> Metered<'_, P, F> {
         if outs.is_empty() {
             return;
         }
-        let mut stats = self.stats.lock().expect("meter mutex poisoned");
+        let mut stats = self.stats.borrow_mut();
         let idx = round as usize;
         if stats.per_round.len() <= idx {
             stats.per_round.resize_with(idx + 1, RoundAcc::default);
@@ -299,27 +283,22 @@ impl<'g, F> CongestExecutor<'g, F> {
         max_rounds: u64,
     ) -> Result<CongestResult<P::Output>, CongestError>
     where
-        P: MessageProgram + Sync,
-        P::State: Send,
-        P::Msg: Send + Sync,
-        P::Output: Send,
-        F: Fn(&P::Msg) -> usize + Clone + Sync,
+        P: MessageProgram,
+        F: Fn(&P::Msg) -> usize + Clone,
     {
         let metered = Metered {
             inner: prog,
             size_of: self.size_of.clone(),
             budget: self.budget_bits,
             hist: self.probe.enabled(),
-            stats: std::sync::Mutex::new(MeterStats::default()),
+            stats: std::cell::RefCell::new(MeterStats::default()),
         };
-        let mut inner = MessageExecutor::new(self.graph)
-            .with_probe(self.probe.clone())
-            .with_threads(self.threads);
+        let mut inner = MessageExecutor::new(self.graph).with_probe(self.probe.clone());
         if let Some(plan) = &self.faults {
             inner = inner.with_faults(plan.clone());
         }
         let run: RunResult<P::Output> = inner.run(&metered, max_rounds)?;
-        let stats = metered.stats.into_inner().expect("meter mutex poisoned");
+        let stats = metered.stats.into_inner();
         // Bandwidth metrics are recorded even when the run ends in a
         // budget violation — the bits were sent before the check fired.
         if let Some(hub) = self.probe.metrics() {

@@ -3,42 +3,13 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::Mutex;
 
 use graphgen::{Graph, NodeId};
 use telemetry::Probe;
 
 use crate::faults::FaultPlan;
-use crate::kernel::{step_range, DropCache, Gather, Round, Scratch, StepCounts, Window};
-use crate::par;
-use crate::pool;
+use crate::kernel::{step_range, DropCache, Gather, Round, Scratch, Window};
 use crate::tally::RoundTally;
-
-/// Per-worker scratch for the parallel stepping path, allocated once
-/// per run and reused across every round (epoch) — workers lock only
-/// their own slot, so the locks are never contended.
-struct SegScratch<S> {
-    scratch: Scratch<S>,
-    counts: StepCounts,
-    seg_ns: Option<u64>,
-}
-
-/// One [`step_range`] call's slice of the round: the segment of the
-/// live worklist plus disjoint mutable views of the shared buffers,
-/// re-sliced every round as the worklist compacts. The sequential path
-/// passes the whole live list and whole buffers as one segment.
-struct SegWork<'a, S, O> {
-    seg: &'a [NodeId],
-    lo: usize,
-    plo: usize,
-    nxt_s: &'a mut [S],
-    out_s: &'a mut [Option<O>],
-    seen_s: &'a mut [S],
-}
-
-/// Slot-indexed work cells for one epoch: the `Mutex<Option<_>>` lets
-/// each pool worker `take()` its packet through a shared reference.
-type WorkCells<'a, S, O> = Vec<Mutex<Option<SegWork<'a, S, O>>>>;
 
 /// Scope string under which [`Executor`] emits per-round events.
 pub const EXEC_SCOPE: &str = "localsim";
@@ -198,7 +169,6 @@ pub struct Executor<'g> {
     graph: &'g Graph,
     uids: Option<Vec<u64>>,
     probe: Probe,
-    threads: usize,
     faults: Option<FaultPlan>,
 }
 
@@ -209,22 +179,8 @@ impl<'g> Executor<'g> {
             graph,
             uids: None,
             probe: Probe::disabled(),
-            threads: 1,
             faults: None,
         }
-    }
-
-    /// Opts into deterministic parallel stepping with `k` worker threads
-    /// (`k <= 1` keeps the sequential path).
-    ///
-    /// Each round the live worklist is split into contiguous segments,
-    /// one per thread; every node still reads only the previous round's
-    /// states, so outputs, round counts, and telemetry events are
-    /// bit-identical to the sequential schedule regardless of `k`.
-    #[must_use]
-    pub fn with_threads(mut self, k: usize) -> Self {
-        self.threads = k.max(1);
-        self
     }
 
     /// Attaches a telemetry probe; every run then emits one
@@ -240,9 +196,9 @@ impl<'g> Executor<'g> {
     /// dropped neighbor-state reads (the reader keeps seeing the last
     /// state it heard), scheduled node crashes (frozen like halted nodes,
     /// reported via [`telemetry::Event::Fault`] and
-    /// [`SimError::Crashed`]), and bounded-asynchrony stalls. Faulty runs
-    /// stay bit-identical between the sequential and parallel stepping
-    /// paths (see `docs/FAULTS.md`). An inactive plan is a no-op.
+    /// [`SimError::Crashed`]), and bounded-asynchrony stalls. The same
+    /// plan reproduces the same run (see `docs/FAULTS.md`). An inactive
+    /// plan is a no-op.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan.is_active().then_some(plan);
@@ -272,7 +228,6 @@ impl<'g> Executor<'g> {
             graph,
             uids: Some(uids),
             probe: Probe::disabled(),
-            threads: 1,
             faults: None,
         })
     }
@@ -292,12 +247,11 @@ impl<'g> Executor<'g> {
     /// after `max_rounds` communication rounds, [`SimError::Crashed`]
     /// if an injected fault plan crashed nodes before they could output,
     /// or [`SimError::BadFaultPlan`] if the plan does not fit the graph.
-    pub fn run<A>(&self, algo: &A, max_rounds: u64) -> Result<RunResult<A::Output>, SimError>
-    where
-        A: LocalAlgorithm + Sync,
-        A::State: Send + Sync,
-        A::Output: Send,
-    {
+    pub fn run<A: LocalAlgorithm>(
+        &self,
+        algo: &A,
+        max_rounds: u64,
+    ) -> Result<RunResult<A::Output>, SimError> {
         let n = self.graph.n();
         if let Some(plan) = &self.faults {
             plan.check(n)?;
@@ -333,13 +287,11 @@ impl<'g> Executor<'g> {
         let mut rounds = 0;
         // Whole-run metrics, recorded only with a hub on the probe. The
         // `_ns` timings are nondeterministic by convention; the round and
-        // worklist accounting is bit-identical at every thread count.
+        // worklist accounting is a pure function of the run.
         let hub = self.probe.metrics();
         let m_rounds = hub.map(|h| h.counter("exec.rounds"));
         let m_live_peak = hub.map(|h| h.watermark("exec.live_peak"));
         let m_round_ns = hub.map(|h| h.histogram("exec.round_ns"));
-        let m_segment_ns = hub.map(|h| h.histogram("exec.segment_ns"));
-        let meter_segments = m_segment_ns.is_some();
         // Fault machinery. Everything below is inert (no extra counters,
         // no per-node branches taken) unless a plan is active, so
         // fault-free runs keep byte-identical telemetry.
@@ -374,20 +326,6 @@ impl<'g> Executor<'g> {
         let mut asleep_degree = 0i64;
         let mut woken: Vec<NodeId> = Vec::new();
         let mut merged: Vec<NodeId> = Vec::new();
-        // Parallel stepping machinery: the worker pool is leased once
-        // per run (first parallel round) and parked between rounds; the
-        // per-slot scratch persists across rounds.
-        let mut pool_lease: Option<pool::PoolLease> = None;
-        let par_slots = if self.threads > 1 { self.threads } else { 0 };
-        let scratches: Vec<Mutex<SegScratch<A::State>>> = (0..par_slots)
-            .map(|_| {
-                Mutex::new(SegScratch {
-                    scratch: Scratch::new(max_degree),
-                    counts: StepCounts::default(),
-                    seg_ns: None,
-                })
-            })
-            .collect();
         while !live_list.is_empty() || !calendar.is_empty() {
             if rounds >= max_rounds {
                 return Err(SimError::RoundLimitExceeded {
@@ -434,116 +372,43 @@ impl<'g> Executor<'g> {
                 stalls: jitter_on.then_some(plan),
                 sleep,
             };
-            // The view is picked once per segment, never per node.
-            let step = |w: SegWork<'_, A::State, A::Output>, sc: &mut Scratch<A::State>| {
-                let win = Window {
-                    lo: w.lo,
-                    nxt: w.nxt_s,
-                    outputs: w.out_s,
-                };
-                if drop_on {
-                    let mut view = DropCache {
-                        plan,
-                        seen: w.seen_s,
-                        seen_lo: w.plo,
-                        ports: offsets,
-                        node_lo: 0,
-                    };
-                    step_range(&rnd, w.seg, &cur, &mut view, win, sc, |_, _, _| {})
-                } else {
-                    step_range(&rnd, w.seg, &cur, &mut Gather, win, sc, |_, _, _| {})
-                }
-            };
             let before = live_list.len();
-            let mut counts = StepCounts::default();
-            if self.threads > 1 && live_list.len() > 1 {
-                let segs = par::segments_weighted(&live_list, self.threads, offsets);
-                let ranges = par::segment_ranges(&segs);
-                // Each worker owns the contiguous port range of its node
-                // range, so the drop cache splits without overlap.
-                let port_ranges: Vec<(usize, usize)> = if drop_on {
-                    ranges
-                        .iter()
-                        .map(|&(lo, hi)| (offsets[lo], offsets[hi]))
-                        .collect()
-                } else {
-                    ranges.iter().map(|_| (0, 0)).collect()
+            let win = Window {
+                lo: 0,
+                nxt: &mut nxt,
+                outputs: &mut outputs,
+            };
+            // The view is picked once per round, never per node.
+            let counts = if drop_on {
+                let mut view = DropCache {
+                    plan,
+                    seen: &mut seen,
+                    seen_lo: 0,
+                    ports: offsets,
+                    node_lo: 0,
                 };
-                let nxt_slices = par::split_ranges(&mut nxt, &ranges);
-                let out_slices = par::split_ranges(&mut outputs, &ranges);
-                let seen_slices = par::split_ranges(&mut seen, &port_ranges);
-                // Pool slot i owns segment i; slots past the segment
-                // count idle this epoch. The static assignment (plus the
-                // merge below walking scratches in slot order) keeps the
-                // schedule — and thus every counter — bit-identical to
-                // the sequential path.
-                let work: WorkCells<'_, A::State, A::Output> = segs
-                    .iter()
-                    .zip(ranges.iter().zip(port_ranges.iter()))
-                    .zip(
-                        nxt_slices
-                            .into_iter()
-                            .zip(out_slices.into_iter().zip(seen_slices)),
-                    )
-                    .map(|((seg, (&(lo, _), &(plo, _))), (nxt_s, (out_s, seen_s)))| {
-                        Mutex::new(Some(SegWork {
-                            seg,
-                            lo,
-                            plo,
-                            nxt_s,
-                            out_s,
-                            seen_s,
-                        }))
-                    })
-                    .collect();
-                let pool = pool_lease.get_or_insert_with(|| pool::lease(self.threads));
-                pool.run_epoch(&|slot| {
-                    let Some(w) = work
-                        .get(slot)
-                        .and_then(|m| m.lock().expect("work slot poisoned").take())
-                    else {
-                        return;
-                    };
-                    let mut guard = scratches[slot].lock().expect("scratch poisoned");
-                    let sc = &mut *guard;
-                    let seg_start = meter_segments.then(std::time::Instant::now);
-                    sc.counts = step(w, &mut sc.scratch);
-                    sc.seg_ns = seg_start
-                        .map(|s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                });
-                // Merge in segment (= slot) order: counters and the
-                // compacted worklist come out identical to the
-                // sequential schedule.
-                let seg_count = segs.len();
-                drop(work);
-                live_list.clear();
-                for m in scratches.iter().take(seg_count) {
-                    let mut guard = m.lock().expect("scratch poisoned");
-                    let sc = &mut *guard;
-                    counts.msgs += sc.counts.msgs;
-                    counts.dropped += sc.counts.dropped;
-                    counts.stalled += sc.counts.stalled;
-                    live_list.append(&mut sc.scratch.survivors);
-                    scratch.sleepers.append(&mut sc.scratch.sleepers);
-                    if let (Some(h), Some(ns)) = (&m_segment_ns, sc.seg_ns.take()) {
-                        h.observe(ns);
-                    }
-                }
-            } else {
-                counts = step(
-                    SegWork {
-                        seg: &live_list,
-                        lo: 0,
-                        plo: 0,
-                        nxt_s: &mut nxt,
-                        out_s: &mut outputs,
-                        seen_s: &mut seen,
-                    },
+                step_range(
+                    &rnd,
+                    &live_list,
+                    &cur,
+                    &mut view,
+                    win,
                     &mut scratch,
-                );
-                std::mem::swap(&mut live_list, &mut scratch.survivors);
-                scratch.survivors.clear();
-            }
+                    |_, _, _| {},
+                )
+            } else {
+                step_range(
+                    &rnd,
+                    &live_list,
+                    &cur,
+                    &mut Gather,
+                    win,
+                    &mut scratch,
+                    |_, _, _| {},
+                )
+            };
+            std::mem::swap(&mut live_list, &mut scratch.survivors);
+            scratch.survivors.clear();
             // A live node observes one state per incident edge this
             // round: one message per edge endpoint (frozen states of
             // halted neighbors included — see the Event::Round docs).
@@ -762,29 +627,6 @@ mod tests {
         assert_eq!(per_round, vec![4, 3, 1]);
     }
 
-    #[test]
-    fn parallel_path_matches_sequential() {
-        use telemetry::RecordingSink;
-
-        let g = graphgen::generators::gnp(37, 0.15, 5);
-        let seq_sink = std::sync::Arc::new(RecordingSink::new());
-        let seq = Executor::new(&g)
-            .with_probe(Probe::new(seq_sink.clone()))
-            .run(&Countdown, 100)
-            .unwrap();
-        for k in [2, 3, 8, 64] {
-            let par_sink = std::sync::Arc::new(RecordingSink::new());
-            let par = Executor::new(&g)
-                .with_threads(k)
-                .with_probe(Probe::new(par_sink.clone()))
-                .run(&Countdown, 100)
-                .unwrap();
-            assert_eq!(par.outputs, seq.outputs, "threads={k}");
-            assert_eq!(par.rounds, seq.rounds, "threads={k}");
-            assert_eq!(par_sink.events(), seq_sink.events(), "threads={k}");
-        }
-    }
-
     /// Node `v` changes its state in round 1, idles until round
     /// `v % 5 + 2`, then halts with the sum of its own and its neighbors'
     /// states. With `hint` set it sleeps through the idle rounds.
@@ -836,33 +678,30 @@ mod tests {
         use telemetry::RecordingSink;
 
         let g = graphgen::generators::gnp(40, 0.2, 9);
-        let run = |hint: bool, threads: usize| {
+        let run = |hint: bool| {
             let sink = std::sync::Arc::new(RecordingSink::new());
             let hub = std::sync::Arc::new(telemetry::MetricsHub::new());
             let run = Executor::new(&g)
-                .with_threads(threads)
                 .with_probe(Probe::new(sink.clone()).with_metrics(hub.clone()))
                 .run(&Nap { hint }, 10)
                 .unwrap();
             let live_peak = hub.watermark("exec.live_peak").get();
             (run.outputs, run.rounds, sink.events(), live_peak)
         };
-        let (outputs, rounds, events, live_peak) = run(false, 1);
+        let (outputs, rounds, events, live_peak) = run(false);
         assert_eq!((rounds, live_peak), (6, 40));
-        for threads in [1, 2, 3] {
-            let (h_outputs, h_rounds, h_events, h_live_peak) = run(true, threads);
-            assert_eq!(h_live_peak, live_peak, "threads={threads}");
-            assert_eq!(h_outputs, outputs, "threads={threads}");
-            assert_eq!(h_rounds, rounds, "threads={threads}");
-            for name in ["live_nodes", "messages_sent", "halted"] {
-                assert_eq!(
-                    counter_series(&h_events, name),
-                    counter_series(&events, name),
-                    "{name}, threads={threads}"
-                );
-            }
-            assert_eq!(h_events, events, "threads={threads}");
+        let (h_outputs, h_rounds, h_events, h_live_peak) = run(true);
+        assert_eq!(h_live_peak, live_peak);
+        assert_eq!(h_outputs, outputs);
+        assert_eq!(h_rounds, rounds);
+        for name in ["live_nodes", "messages_sent", "halted"] {
+            assert_eq!(
+                counter_series(&h_events, name),
+                counter_series(&events, name),
+                "{name}"
+            );
         }
+        assert_eq!(h_events, events);
         // The degree sum is charged in every round a node is live, asleep
         // or not: round 1 charges every edge endpoint.
         assert_eq!(
@@ -878,20 +717,15 @@ mod tests {
         // asleep under the hint.
         let running = (0..40).filter(|v| v % 5 >= 2).count();
         for hint in [false, true] {
-            for threads in [1, 2] {
-                let err = Executor::new(&g)
-                    .with_threads(threads)
-                    .run(&Nap { hint }, 3)
-                    .unwrap_err();
-                assert_eq!(
-                    err,
-                    SimError::RoundLimitExceeded {
-                        limit: 3,
-                        still_running: running
-                    },
-                    "hint={hint}, threads={threads}"
-                );
-            }
+            let err = Executor::new(&g).run(&Nap { hint }, 3).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::RoundLimitExceeded {
+                    limit: 3,
+                    still_running: running
+                },
+                "hint={hint}"
+            );
         }
     }
 

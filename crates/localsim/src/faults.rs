@@ -10,9 +10,8 @@
 //! where the key names the affected object — a directed port slot and
 //! round for drops, a node and jitter window for stalls. No decision
 //! depends on iteration order, thread count, or any evolving RNG stream,
-//! so a faulty run is bit-identical between the sequential schedule and
-//! `with_threads(k)` for every `k`, and between repeated runs of the same
-//! plan (see `docs/FAULTS.md` for the full argument).
+//! so repeated runs of the same plan are bit-identical, and so is a shard
+//! fleet at any shard count (see `docs/FAULTS.md` for the full argument).
 
 use std::collections::BTreeMap;
 use std::str::FromStr;

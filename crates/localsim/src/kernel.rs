@@ -1,13 +1,12 @@
 //! The round kernel: one synchronous round over a slice of live nodes.
 //!
-//! Every state-exchange round in the crate runs through [`step_range`]:
-//! [`crate::Executor`]'s sequential path (one call over the whole live
-//! list), its parallel path (one call per worklist segment), and the
-//! shard worker (one call over its owned range). Each call gathers a
+//! Every state-exchange round in the crate runs through [`step_range`]
+//! once per round: [`crate::Executor`] calls it over the whole live
+//! list, the shard worker over its owned range. Each call gathers a
 //! node's neighbor states from the previous round, steps it, and writes
 //! its next state — or its output and frozen state — into a window of
-//! the caller's buffers. Callers differ only in how they slice the live
-//! list, which [`NeighborView`] they pass, and what they do in the
+//! the caller's buffers. Callers differ only in which nodes they own,
+//! which [`NeighborView`] they pass, and what they do in the
 //! `on_continue` hook.
 
 use graphgen::NodeId;
@@ -15,8 +14,8 @@ use graphgen::NodeId;
 use crate::exec::{LocalAlgorithm, NodeCtx, Transition};
 use crate::faults::FaultPlan;
 
-/// Counter deltas of one [`step_range`] call; callers sum them in
-/// segment order into the round's event.
+/// Counter deltas of one [`step_range`] call, reported in the round's
+/// event.
 #[derive(Default)]
 pub(crate) struct StepCounts {
     /// Neighbor states read: one per incident edge of every stepped
@@ -85,7 +84,7 @@ impl<S: Clone> NeighborView<S> for DropCache<'_, S> {
         let mut dropped = 0;
         for (p, w) in nbrs.iter().enumerate() {
             // The drop stream is keyed by the *global* port slot, so every
-            // segmentation and shard count draws identical decisions.
+            // shard count draws identical decisions.
             if self.plan.drops_message(round, base + p) {
                 dropped += 1;
             } else {

@@ -13,10 +13,9 @@
 //! halts with an output). [`Executor`] runs such a [`LocalAlgorithm`] over a
 //! [`graphgen::Graph`] with double-buffered states — all nodes step against
 //! the *previous* round's states, exactly matching synchronous message
-//! delivery — and counts the rounds. Because a round only reads the
-//! previous round, every executor also offers an opt-in, deterministic
-//! parallel stepping path (`with_threads`, see `docs/PERFORMANCE.md`)
-//! whose outputs and telemetry are bit-identical to the sequential one.
+//! delivery — and counts the rounds. Every executor steps each round on
+//! the calling thread, in ascending node order (`docs/PERFORMANCE.md`
+//! records why there is no parallel stepping path).
 //!
 //! Composite algorithms charge their subroutine costs to a [`RoundLedger`],
 //! including `O(1)`-local steps (constant-radius computations the model

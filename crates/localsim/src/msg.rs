@@ -9,24 +9,15 @@
 //! *messages* (and the basis for a CONGEST mode, where per-port messages
 //! would be size-capped).
 
-use std::sync::Mutex;
-
 use graphgen::{Graph, NodeId};
 use telemetry::Probe;
 
 use crate::exec::{NodeCtx, RunResult, SimError};
 use crate::faults::FaultPlan;
-use crate::par;
-use crate::pool;
 use crate::tally::RoundTally;
 
 /// Scope string under which [`MessageExecutor`] emits per-round events.
 pub const MSG_SCOPE: &str = "localsim/msg";
-
-/// Slot-indexed work cells for one parallel phase-1 epoch: each cell is
-/// `(segment, segment base index, that segment's state slice)`, taken
-/// by pool slot `i` through a shared reference.
-type MsgWorkCells<'a, S> = Vec<Mutex<Option<(&'a [NodeId], usize, &'a mut [S])>>>;
 
 /// What a node does after processing one round of messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +77,6 @@ pub trait MessageProgram {
 pub struct MessageExecutor<'g> {
     graph: &'g Graph,
     probe: Probe,
-    threads: usize,
     faults: Option<FaultPlan>,
 }
 
@@ -158,7 +148,6 @@ impl<'g> MessageExecutor<'g> {
         MessageExecutor {
             graph,
             probe: Probe::disabled(),
-            threads: 1,
             faults: None,
         }
     }
@@ -168,9 +157,8 @@ impl<'g> MessageExecutor<'g> {
     /// crashes (frozen like halted nodes, reported via
     /// [`telemetry::Event::Fault`] and [`SimError::Crashed`]), and
     /// bounded-asynchrony stalls (a stalled node's pending inbox waits on
-    /// the link). Faulty runs stay bit-identical between the sequential
-    /// and parallel stepping paths (see `docs/FAULTS.md`). An inactive
-    /// plan is a no-op.
+    /// the link). The same plan reproduces the same run (see
+    /// `docs/FAULTS.md`). An inactive plan is a no-op.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan.is_active().then_some(plan);
@@ -183,21 +171,6 @@ impl<'g> MessageExecutor<'g> {
     #[must_use]
     pub fn with_probe(mut self, probe: Probe) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Opts into deterministic parallel stepping with `k` worker threads
-    /// (`k <= 1` keeps the sequential path).
-    ///
-    /// Rounds split into two phases: node steps run in parallel over
-    /// contiguous worklist segments (reading only the previous round's
-    /// inboxes), then all deliveries are applied in ascending node order
-    /// on the calling thread. The sequential path runs the same step and
-    /// apply code node by node, so outputs and telemetry are
-    /// bit-identical to it regardless of `k`.
-    #[must_use]
-    pub fn with_threads(mut self, k: usize) -> Self {
-        self.threads = k.max(1);
         self
     }
 
@@ -214,13 +187,11 @@ impl<'g> MessageExecutor<'g> {
     /// [`SimError::Crashed`] if an injected fault plan crashed nodes
     /// before they could output; [`SimError::BadFaultPlan`] if the plan
     /// does not fit the graph.
-    pub fn run<P>(&self, prog: &P, max_rounds: u64) -> Result<RunResult<P::Output>, SimError>
-    where
-        P: MessageProgram + Sync,
-        P::State: Send,
-        P::Msg: Send + Sync,
-        P::Output: Send,
-    {
+    pub fn run<P: MessageProgram>(
+        &self,
+        prog: &P,
+        max_rounds: u64,
+    ) -> Result<RunResult<P::Output>, SimError> {
         let n = self.graph.n();
         if let Some(plan) = &self.faults {
             plan.check(n)?;
@@ -295,16 +266,6 @@ impl<'g> MessageExecutor<'g> {
         }
         let mut live_list: Vec<NodeId> = graph.vertices().collect();
         let mut rounds = 0u64;
-        // Parallel phase-1 machinery: the worker pool is leased once per
-        // run (first parallel round) and parked between rounds; the
-        // per-slot transition buffers persist across rounds.
-        let mut pool_lease: Option<pool::PoolLease> = None;
-        let par_slots = if self.threads > 1 { self.threads } else { 0 };
-        // Slot i holds segment i's transitions in node order, `None` for
-        // a stalled node.
-        #[allow(clippy::type_complexity)]
-        let mut transition_bufs: Vec<Mutex<Vec<Option<MsgTransition<P::Msg, P::Output>>>>> =
-            (0..par_slots).map(|_| Mutex::new(Vec::new())).collect();
         while !live_list.is_empty() {
             if rounds >= max_rounds {
                 return Err(SimError::RoundLimitExceeded {
@@ -343,72 +304,27 @@ impl<'g> MessageExecutor<'g> {
             let mut msgs = std::mem::take(&mut init_msgs);
             let mut dropped = std::mem::take(&mut init_dropped);
             let mut stalled = 0i64;
-            // Step one node against the read-only current arena: `None`
-            // for a stalled node.
-            let step = |v: NodeId, st: &mut P::State| {
-                if jitter_on && plan.stalls(v, rounds) {
-                    return None;
-                }
-                let inbox = &cur[offsets[v.index()]..offsets[v.index() + 1]];
-                Some(prog.step(&make_ctx(v, rounds), st, inbox))
-            };
-            let seg_count = if self.threads > 1 && live_list.len() > 1 {
-                // Phase 1 (parallel): pool slot i steps segment i into
-                // its transition buffer; the degree-weighted split keeps
-                // hub-heavy segments from serializing the round.
-                let segs = par::segments_weighted(&live_list, self.threads, offsets);
-                let ranges = par::segment_ranges(&segs);
-                let state_slices = par::split_ranges(&mut states, &ranges);
-                let work: MsgWorkCells<'_, P::State> = segs
-                    .iter()
-                    .zip(ranges.iter())
-                    .zip(state_slices)
-                    .map(|((seg, &(lo, _)), st_s)| Mutex::new(Some((*seg, lo, st_s))))
-                    .collect();
-                let pool = pool_lease.get_or_insert_with(|| pool::lease(self.threads));
-                pool.run_epoch(&|slot| {
-                    let Some((seg, lo, st_s)) = work
-                        .get(slot)
-                        .and_then(|m| m.lock().expect("work slot poisoned").take())
-                    else {
-                        return;
-                    };
-                    let mut out = transition_bufs[slot].lock().expect("buffer poisoned");
-                    out.extend(seg.iter().map(|&v| step(v, &mut st_s[v.index() - lo])));
-                });
-                segs.len()
-            } else {
-                0
-            };
-            // Phase 2, in ascending node order on this thread: deliver and
-            // account. A parallel round drains the slot buffers in segment
-            // order; a sequential round has none and steps each node right
-            // here, so its outgoing messages are delivered (and their
-            // buffers freed) before the next node steps.
-            let mut buffered = transition_bufs
-                .iter_mut()
-                .take(seg_count)
-                .flat_map(|m| m.get_mut().expect("buffer poisoned").drain(..));
+            // Step each node against the read-only current arena, then
+            // deliver its outgoing messages (and free their buffer) before
+            // the next node steps, in ascending node order.
             let mut kept = 0usize;
             for i in 0..live_list.len() {
                 let v = live_list[i];
-                let t = match buffered.next() {
-                    Some(t) => t,
-                    None => step(v, &mut states[v.index()]),
-                };
-                let (outs, output) = match t {
-                    None => {
-                        // Stalled: pending messages wait on the link for
-                        // the next round.
-                        retain_inbox(offsets, &cur, &mut nxt, &mut dirty_nxt, v);
-                        stalled += 1;
-                        live_list[kept] = v;
-                        kept += 1;
-                        continue;
-                    }
-                    Some(MsgTransition::Continue(outs)) => (outs, None),
-                    Some(MsgTransition::HaltAfter(outs, o)) => (outs, Some(o)),
-                };
+                if jitter_on && plan.stalls(v, rounds) {
+                    // Stalled: pending messages wait on the link for the
+                    // next round.
+                    retain_inbox(offsets, &cur, &mut nxt, &mut dirty_nxt, v);
+                    stalled += 1;
+                    live_list[kept] = v;
+                    kept += 1;
+                    continue;
+                }
+                let inbox = &cur[offsets[v.index()]..offsets[v.index() + 1]];
+                let (outs, output) =
+                    match prog.step(&make_ctx(v, rounds), &mut states[v.index()], inbox) {
+                        MsgTransition::Continue(outs) => (outs, None),
+                        MsgTransition::HaltAfter(outs, o) => (outs, Some(o)),
+                    };
                 msgs += deliver(
                     graph,
                     offsets,

@@ -1,14 +1,11 @@
-//! Shared machinery for the executors' deterministic parallel stepping
-//! path: worklist segmentation, disjoint buffer splitting, and the
-//! opt-in default thread count.
+//! The process-wide default thread count and the degree-weighted
+//! worklist partitioner.
 //!
-//! A LOCAL round is embarrassingly parallel — every node reads only the
-//! *previous* round's neighbor state — so the executors can step disjoint
-//! contiguous slices of the live worklist on separate threads and merge
-//! the results in segment order. Because each node's step sees exactly
-//! the same inputs as in the sequential schedule, and all merges happen
-//! in ascending segment order, outputs, round counts, and telemetry
-//! event streams are bit-identical to the sequential path.
+//! The executors step every round sequentially, so the thread count
+//! changes no output: it sizes the pipelines' worker pool
+//! (`delta_core`'s leftover components and loophole sweep, on
+//! [`crate::WorkerPool`]). The partitioner splits a shard fleet's
+//! vertices into contiguous, degree-balanced ranges.
 
 use std::sync::OnceLock;
 
@@ -16,32 +13,25 @@ use graphgen::NodeId;
 
 static THREADS: OnceLock<usize> = OnceLock::new();
 
-/// The process-wide default thread count for executors, read once from
-/// the `LOCALSIM_THREADS` environment variable: values `>= 2` enable the
-/// parallel stepping path, `1` (or unset) keeps the sequential path, and
-/// `0` or an unparsable value falls back to sequential with a one-time
-/// notice on stderr (so a typo'd setting never goes silently ignored).
+/// The process-wide default thread count for the pipelines' worker
+/// pool, read once from the `LOCALSIM_THREADS` environment variable:
+/// `1` (or unset) runs pool jobs inline on the calling thread, and `0`
+/// or an unparsable value falls back to `1` with a one-time notice on
+/// stderr (so a typo'd setting never goes silently ignored).
 ///
 /// [`set_default_threads`] overrides the environment (the CLI's
 /// `--threads K` flag uses it); the first of the two to run wins, and the
 /// value never changes afterwards.
-///
-/// Primitives construct executors with
-/// `Executor::new(g).with_threads(default_threads())`, so a pipeline can
-/// be parallelized end to end without touching any call site. This is
-/// safe to flip freely: the parallel path is bit-identical to the
-/// sequential one (see `docs/PERFORMANCE.md`).
 pub fn default_threads() -> usize {
     *THREADS.get_or_init(|| match std::env::var("LOCALSIM_THREADS") {
         Err(_) => 1,
         Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(k) if k >= 2 => k,
-            Ok(1) => 1,
+            Ok(k) if k >= 1 => k,
             _ => {
                 // OnceLock guarantees this fires at most once per process.
                 eprintln!(
                     "localsim: LOCALSIM_THREADS={raw:?} is not a thread count >= 1; \
-                     stepping sequentially"
+                     using 1"
                 );
                 1
             }
@@ -53,25 +43,16 @@ pub fn default_threads() -> usize {
 /// `LOCALSIM_THREADS` environment variable. Returns `false` if the
 /// default was already resolved (by an earlier call or an earlier
 /// [`default_threads`] read) — the established value stays in force, so
-/// callers that care should invoke this before any executor runs.
+/// callers that care should invoke this before the first pool call.
 ///
 /// This is also what keeps the persistent worker pools safe: every
 /// [`crate::pool::lease`] snapshots its width from the value in force
-/// when the executor run starts, and a pool's width never changes after
+/// when the pool call starts, and a pool's width never changes after
 /// construction. A mid-run `set_default_threads` therefore cannot
 /// resize a live pool — it returns `false` and has no effect (the error
 /// path is pinned by `tests/threads_config.rs`).
 pub fn set_default_threads(k: usize) -> bool {
     THREADS.set(k.max(1)).is_ok()
-}
-
-/// Splits a sorted live worklist into at most `threads` contiguous,
-/// non-empty segments of near-equal size.
-#[cfg(test)]
-pub(crate) fn segments(live: &[NodeId], threads: usize) -> Vec<&[NodeId]> {
-    let k = threads.min(live.len()).max(1);
-    let chunk = live.len().div_ceil(k);
-    live.chunks(chunk).collect()
 }
 
 /// Splits a sorted live worklist into at most `threads` contiguous,
@@ -123,74 +104,4 @@ pub fn segments_weighted<'a>(
     out.push(&live[start..]);
     debug_assert!(out.iter().all(|s| !s.is_empty()));
     out
-}
-
-/// The half-open node-index range covered by each segment of a sorted
-/// worklist. Ranges are pairwise disjoint and ascending because the
-/// worklist is sorted by node index.
-pub(crate) fn segment_ranges(segs: &[&[NodeId]]) -> Vec<(usize, usize)> {
-    segs.iter()
-        .map(|s| (s[0].index(), s[s.len() - 1].index() + 1))
-        .collect()
-}
-
-/// Splits one buffer into disjoint mutable sub-slices, one per range.
-///
-/// `ranges` must be ascending and non-overlapping (as produced by
-/// [`segment_ranges`]); the slice for `(lo, hi)` covers exactly the
-/// elements `lo..hi` of `data`, so a worker owning segment `i` indexes
-/// it with `v.index() - lo`.
-pub(crate) fn split_ranges<'a, T>(
-    data: &'a mut [T],
-    ranges: &[(usize, usize)],
-) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut rest: &'a mut [T] = data;
-    let mut base = 0usize;
-    for &(lo, hi) in ranges {
-        let tail = std::mem::take(&mut rest);
-        let (_skipped, tail) = tail.split_at_mut(lo - base);
-        let (mine, tail) = tail.split_at_mut(hi - lo);
-        out.push(mine);
-        rest = tail;
-        base = hi;
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ids(xs: &[u32]) -> Vec<NodeId> {
-        xs.iter().copied().map(NodeId).collect()
-    }
-
-    #[test]
-    fn segments_cover_worklist_in_order() {
-        let live = ids(&[1, 4, 5, 9, 12]);
-        let segs = segments(&live, 2);
-        assert_eq!(segs.len(), 2);
-        let flat: Vec<NodeId> = segs.iter().flat_map(|s| s.iter().copied()).collect();
-        assert_eq!(flat, live);
-        // More threads than nodes degrades to one node per segment.
-        assert_eq!(segments(&live, 64).len(), live.len());
-    }
-
-    #[test]
-    fn split_ranges_are_disjoint_and_addressable() {
-        let live = ids(&[1, 4, 5, 9, 12]);
-        let segs = segments(&live, 3);
-        let ranges = segment_ranges(&segs);
-        let mut buf: Vec<i32> = (0..14).collect();
-        let slices = split_ranges(&mut buf, &ranges);
-        assert_eq!(slices.len(), segs.len());
-        for (seg, ((lo, hi), slice)) in segs.iter().zip(ranges.iter().zip(slices)) {
-            assert_eq!(slice.len(), hi - lo);
-            for v in *seg {
-                // The owning worker's view of node v.
-                assert_eq!(slice[v.index() - lo], v.index() as i32);
-            }
-        }
-    }
 }

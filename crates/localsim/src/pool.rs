@@ -1,34 +1,29 @@
 //! Persistent epoch-barrier worker pool.
 //!
-//! LOCAL-model rounds are tiny — on a path graph a round is a few
-//! microseconds of work — so the per-round `std::thread::scope`
-//! spawn/join the executors used through PR 4 cost more than the round
-//! itself (`BENCH_executors.json` showed `par4` 2–3x *slower* than
-//! `seq` on every topology). This module replaces it: OS threads are
-//! spawned **once per lease** and then parked on a condvar between
-//! rounds; each round is one *epoch* — publish a job, wake the workers,
-//! run slot 0 on the caller, and block until the last worker checks in.
-//! The steady-state cost of a round is one mutex hand-off and one
-//! wake/park cycle per worker instead of a thread create/destroy pair.
+//! `delta_core`'s pipeline pool runs its independent units (leftover
+//! components, loophole brute force) on this pool; the executors step
+//! every round sequentially and never lease one. OS threads are spawned
+//! **once per lease** and then parked on a condvar between calls; each
+//! call is one *epoch* — publish a job, wake the workers, run slot 0 on
+//! the caller, and block until the last worker checks in. The
+//! steady-state cost of an epoch is one mutex hand-off and one wake/park
+//! cycle per worker instead of a thread create/destroy pair.
 //!
 //! # Determinism
 //!
 //! The pool adds no scheduling freedom: worker `i` always receives slot
-//! index `i`, so callers that assign segment `i` to slot `i` and merge
-//! in segment order keep the bit-identity contract of the scoped path.
-//! Dynamic-scheduling callers (`core::pool`) put the shared claim
-//! counter *inside* the job, which is exactly what the scoped version
-//! did.
+//! index `i`. Dynamic-scheduling callers (`delta_core`'s pool) put the
+//! shared claim counter *inside* the job and return results in unit
+//! order.
 //!
 //! # Thread-local reuse
 //!
-//! [`lease`] caches one pool per OS thread: a pipeline that runs
-//! hundreds of primitive executors back to back re-uses the same parked
-//! workers instead of respawning per run. The cache is keyed by slot
-//! count — leasing a different width drops the cached pool (joining its
-//! threads) and spawns a fresh one. A nested lease on the same thread
-//! (a parallel executor inside a pool job) simply spawns a transient
-//! pool, because the cached one is checked out by the outer caller.
+//! [`lease`] caches one pool per OS thread: a pipeline that makes many
+//! pool calls back to back re-uses the same parked workers instead of
+//! respawning per call. The cache is keyed by slot count — leasing a
+//! different width drops the cached pool (joining its threads) and
+//! spawns a fresh one. A second lease on the same thread while the
+//! first is checked out spawns a transient pool.
 //!
 //! Pool width is fixed at construction. The process-wide default in
 //! [`crate::default_threads`] is resolved once and never changes, so a

@@ -21,7 +21,7 @@
 
 use std::io;
 
-use graphgen::io::{decode_graph, decode_runs, encode_graph, encode_runs};
+use graphgen::io::{decode_graph, decode_runs, encode_graph, encode_runs, MAX_VERTICES};
 use graphgen::{Graph, NodeId};
 
 use super::wire::{put_varint, Dec};
@@ -99,8 +99,10 @@ impl Topology {
     ///
     /// # Errors
     ///
-    /// Malformed payloads, unknown mode bytes, and payloads whose owned
-    /// range disagrees with the `Init` frame's.
+    /// Malformed payloads, unknown mode bytes, vertex counts past
+    /// [`MAX_VERTICES`], reversed owned ranges, and payloads whose owned
+    /// range disagrees with the `Init` frame's — all before allocating
+    /// for the range.
     pub fn decode(bytes: &[u8], start: usize, end: usize) -> io::Result<Topology> {
         let mut d = Dec::new(bytes);
         match d.u8()? {
@@ -117,12 +119,19 @@ impl Topology {
             }
             MODE_SUB => {
                 let n = d.u64()? as usize;
-                if n >= u32::MAX as usize {
-                    return Err(protocol(format!("vertex count {n} overflows u32")));
+                if n > MAX_VERTICES {
+                    return Err(protocol(format!(
+                        "vertex count {n} exceeds the {MAX_VERTICES}-vertex cap"
+                    )));
                 }
                 let max_degree = d.u64()? as usize;
                 let lo = d.u64()? as usize;
                 let hi = d.u64()? as usize;
+                if lo > hi {
+                    return Err(protocol(format!(
+                        "sub-topology range {lo}..{hi} is reversed"
+                    )));
+                }
                 if lo != start || hi != end || hi > n {
                     return Err(protocol(format!(
                         "sub-topology range {lo}..{hi} disagrees with init range \
@@ -320,5 +329,28 @@ mod tests {
         let flag_pos = 1 + 4; // n, Δ, lo, hi are single-byte varints here
         flag[flag_pos] = 9;
         assert!(Topology::decode(&flag, 2, 6).is_err());
+    }
+
+    /// An `Init` whose owned range runs backwards is refused, in both
+    /// modes, instead of sizing the range's offsets by `hi - lo + 1`.
+    #[test]
+    fn reversed_owned_range_is_refused() {
+        let g = graphgen::generators::path(10);
+        let err = Topology::decode(&encode_sub(&g, 5, 3, false), 5, 3).err();
+        assert!(err.is_some_and(|e| e.to_string().contains("reversed")));
+        assert!(Topology::decode(&encode_full(&g), 5, 3).is_err());
+    }
+
+    /// The sub-topology's vertex count is held to the cap every graph
+    /// reader enforces.
+    #[test]
+    fn sub_vertex_count_past_the_cap_is_refused() {
+        let mut bytes = vec![MODE_SUB];
+        for field in [MAX_VERTICES as u64 + 1, 0, 0, 0] {
+            put_varint(&mut bytes, field); // n, Δ, lo, hi
+        }
+        bytes.push(0); // no port base
+        let err = Topology::decode(&bytes, 0, 0).err();
+        assert!(err.is_some_and(|e| e.to_string().contains("cap")));
     }
 }

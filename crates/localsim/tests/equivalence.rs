@@ -1,9 +1,10 @@
 //! Equivalence of the two executor levels: the state-exchange
 //! [`localsim::Executor`] and the per-port [`localsim::MessageExecutor`]
 //! compute the same function when given the same algorithm in both forms —
-//! plus the determinism suite pinning the parallel stepping path
-//! (`with_threads`) to be bit-identical to the sequential schedule in
-//! outputs, round counts, and telemetry event streams.
+//! plus the fault and CONGEST error paths: a faulted run reproduces
+//! exactly under the same plan, crashes fail with one report per crashed
+//! node, and a budget violation names the earliest round's widest
+//! message.
 
 use std::sync::Arc;
 
@@ -154,81 +155,6 @@ fn determinism_graphs() -> Vec<Graph> {
     ]
 }
 
-const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
-
-#[test]
-fn state_executor_parallel_is_bit_identical() {
-    for (i, g) in determinism_graphs().iter().enumerate() {
-        let sink = Arc::new(RecordingSink::new());
-        let seq = Executor::new(g)
-            .with_probe(Probe::new(sink.clone()))
-            .run(&StaggerSum, 100)
-            .unwrap();
-        let seq_events = sink.events();
-        for k in THREAD_COUNTS {
-            let psink = Arc::new(RecordingSink::new());
-            let par = Executor::new(g)
-                .with_threads(k)
-                .with_probe(Probe::new(psink.clone()))
-                .run(&StaggerSum, 100)
-                .unwrap();
-            assert_eq!(par.outputs, seq.outputs, "graph #{i}, threads={k}");
-            assert_eq!(par.rounds, seq.rounds, "graph #{i}, threads={k}");
-            assert_eq!(psink.events(), seq_events, "graph #{i}, threads={k}");
-        }
-    }
-}
-
-#[test]
-fn message_executor_parallel_is_bit_identical() {
-    for (i, g) in determinism_graphs().iter().enumerate() {
-        let sink = Arc::new(RecordingSink::new());
-        let seq = MessageExecutor::new(g)
-            .with_probe(Probe::new(sink.clone()))
-            .run(&StaggerSumMsg, 100)
-            .unwrap();
-        let seq_events = sink.events();
-        for k in THREAD_COUNTS {
-            let psink = Arc::new(RecordingSink::new());
-            let par = MessageExecutor::new(g)
-                .with_threads(k)
-                .with_probe(Probe::new(psink.clone()))
-                .run(&StaggerSumMsg, 100)
-                .unwrap();
-            assert_eq!(par.outputs, seq.outputs, "graph #{i}, threads={k}");
-            assert_eq!(par.rounds, seq.rounds, "graph #{i}, threads={k}");
-            assert_eq!(psink.events(), seq_events, "graph #{i}, threads={k}");
-        }
-    }
-}
-
-#[test]
-fn congest_executor_parallel_is_bit_identical() {
-    let width = |m: &u64| (64 - m.leading_zeros()) as usize;
-    for (i, g) in determinism_graphs().iter().enumerate() {
-        let sink = Arc::new(RecordingSink::new());
-        let seq = CongestExecutor::new(g, 64, width)
-            .with_probe(Probe::new(sink.clone()))
-            .run(&StaggerSumMsg, 100)
-            .unwrap();
-        let seq_events = sink.events();
-        for k in THREAD_COUNTS {
-            let psink = Arc::new(RecordingSink::new());
-            let par = CongestExecutor::new(g, 64, width)
-                .with_threads(k)
-                .with_probe(Probe::new(psink.clone()))
-                .run(&StaggerSumMsg, 100)
-                .unwrap();
-            assert_eq!(par.outputs, seq.outputs, "graph #{i}, threads={k}");
-            assert_eq!(par.rounds, seq.rounds, "graph #{i}, threads={k}");
-            assert_eq!(par.per_round, seq.per_round, "graph #{i}, threads={k}");
-            assert_eq!(par.max_message_bits, seq.max_message_bits);
-            assert_eq!(par.total_bits, seq.total_bits);
-            assert_eq!(psink.events(), seq_events, "graph #{i}, threads={k}");
-        }
-    }
-}
-
 /// A fault plan that exercises drops and jitter together (no crashes, so
 /// runs still complete and outputs are comparable).
 fn lossy_plan() -> FaultPlan {
@@ -241,83 +167,43 @@ fn lossy_plan() -> FaultPlan {
 }
 
 /// Fault injection is part of the determinism contract: under an active
-/// plan (drops + jitter), the state-exchange executor's outputs, rounds,
-/// and full event stream — including `Event::Fault` — are bit-identical
-/// between the sequential schedule and every thread count.
+/// plan (drops + jitter) every executor level, run twice with the same
+/// plan, reproduces its outputs, rounds and normalized event stream —
+/// `Event::Fault` records included.
 #[test]
-fn faulty_state_executor_parallel_is_bit_identical() {
-    for (i, g) in determinism_graphs().iter().enumerate() {
-        let sink = Arc::new(RecordingSink::new());
-        let seq = Executor::new(g)
-            .with_faults(lossy_plan())
-            .with_probe(Probe::new(sink.clone()))
-            .run(&StaggerSum, 200)
-            .unwrap();
-        let seq_events = sink.events();
-        for k in THREAD_COUNTS {
-            let psink = Arc::new(RecordingSink::new());
-            let par = Executor::new(g)
-                .with_faults(lossy_plan())
-                .with_threads(k)
-                .with_probe(Probe::new(psink.clone()))
-                .run(&StaggerSum, 200)
-                .unwrap();
-            assert_eq!(par.outputs, seq.outputs, "graph #{i}, threads={k}");
-            assert_eq!(par.rounds, seq.rounds, "graph #{i}, threads={k}");
-            assert_eq!(psink.events(), seq_events, "graph #{i}, threads={k}");
-        }
-    }
-}
-
-#[test]
-fn faulty_message_executor_parallel_is_bit_identical() {
-    for (i, g) in determinism_graphs().iter().enumerate() {
-        let sink = Arc::new(RecordingSink::new());
-        let seq = MessageExecutor::new(g)
-            .with_faults(lossy_plan())
-            .with_probe(Probe::new(sink.clone()))
-            .run(&StaggerSumMsg, 200)
-            .unwrap();
-        let seq_events = sink.events();
-        for k in THREAD_COUNTS {
-            let psink = Arc::new(RecordingSink::new());
-            let par = MessageExecutor::new(g)
-                .with_faults(lossy_plan())
-                .with_threads(k)
-                .with_probe(Probe::new(psink.clone()))
-                .run(&StaggerSumMsg, 200)
-                .unwrap();
-            assert_eq!(par.outputs, seq.outputs, "graph #{i}, threads={k}");
-            assert_eq!(par.rounds, seq.rounds, "graph #{i}, threads={k}");
-            assert_eq!(psink.events(), seq_events, "graph #{i}, threads={k}");
-        }
-    }
-}
-
-#[test]
-fn faulty_congest_executor_parallel_is_bit_identical() {
+fn faulty_runs_reproduce_under_the_same_plan() {
     let width = |m: &u64| (64 - m.leading_zeros()) as usize;
     for (i, g) in determinism_graphs().iter().enumerate() {
-        let sink = Arc::new(RecordingSink::new());
-        let seq = CongestExecutor::new(g, 64, width)
-            .with_faults(lossy_plan())
-            .with_probe(Probe::new(sink.clone()))
-            .run(&StaggerSumMsg, 200)
-            .unwrap();
-        let seq_events = sink.events();
-        for k in THREAD_COUNTS {
-            let psink = Arc::new(RecordingSink::new());
-            let par = CongestExecutor::new(g, 64, width)
+        let state = || {
+            let sink = Arc::new(RecordingSink::new());
+            let run = Executor::new(g)
                 .with_faults(lossy_plan())
-                .with_threads(k)
-                .with_probe(Probe::new(psink.clone()))
+                .with_probe(Probe::new(sink.clone()))
+                .run(&StaggerSum, 200)
+                .unwrap();
+            (run.outputs, run.rounds, sink.normalized())
+        };
+        assert_eq!(state(), state(), "state executor, graph #{i}");
+        let message = || {
+            let sink = Arc::new(RecordingSink::new());
+            let run = MessageExecutor::new(g)
+                .with_faults(lossy_plan())
+                .with_probe(Probe::new(sink.clone()))
                 .run(&StaggerSumMsg, 200)
                 .unwrap();
-            assert_eq!(par.outputs, seq.outputs, "graph #{i}, threads={k}");
-            assert_eq!(par.rounds, seq.rounds, "graph #{i}, threads={k}");
-            assert_eq!(par.per_round, seq.per_round, "graph #{i}, threads={k}");
-            assert_eq!(psink.events(), seq_events, "graph #{i}, threads={k}");
-        }
+            (run.outputs, run.rounds, sink.normalized())
+        };
+        assert_eq!(message(), message(), "message executor, graph #{i}");
+        let congest = || {
+            let sink = Arc::new(RecordingSink::new());
+            let run = CongestExecutor::new(g, 64, width)
+                .with_faults(lossy_plan())
+                .with_probe(Probe::new(sink.clone()))
+                .run(&StaggerSumMsg, 200)
+                .unwrap();
+            (run.outputs, run.rounds, run.per_round, sink.normalized())
+        };
+        assert_eq!(congest(), congest(), "congest executor, graph #{i}");
     }
 }
 
@@ -347,9 +233,9 @@ fn lossy_plan_actually_injects() {
 }
 
 /// Crashes surface as `SimError::Crashed` plus per-node `Event::Fault`
-/// records, identically under every schedule, on both executor levels.
+/// records, on both executor levels.
 #[test]
-fn crash_runs_fail_identically_seq_and_parallel() {
+fn crash_runs_fail_with_one_fault_record_per_crashed_node() {
     let g = graphgen::generators::random_regular(64, 6, 3);
     let plan = FaultPlan {
         seed: 11,
@@ -386,17 +272,6 @@ fn crash_runs_fail_identically_seq_and_parallel() {
         &crash_events[1],
         Event::Fault { node: Some(17), .. }
     ));
-    for k in THREAD_COUNTS {
-        let psink = Arc::new(RecordingSink::new());
-        let par_err = Executor::new(&g)
-            .with_faults(plan.clone())
-            .with_threads(k)
-            .with_probe(Probe::new(psink.clone()))
-            .run(&StaggerSum, 100)
-            .unwrap_err();
-        assert_eq!(par_err, seq_err, "threads={k}");
-        assert_eq!(psink.events(), sink.events(), "threads={k}");
-    }
     let msg_err = MessageExecutor::new(&g)
         .with_faults(plan)
         .run(&StaggerSumMsg, 100)
@@ -404,37 +279,32 @@ fn crash_runs_fail_identically_seq_and_parallel() {
     assert!(matches!(msg_err, SimError::Crashed { crashed: 3, .. }));
 }
 
-/// The deterministic violation rule (earliest round, widest message) is
-/// schedule-independent: over-budget runs fail identically seq vs parallel.
+/// An over-budget run reports the earliest round with an over-budget
+/// message and the widest message of that round — read off the same
+/// run's per-round accounting under an unbounded budget.
 #[test]
-fn congest_violation_is_schedule_independent() {
+fn congest_violation_reports_the_earliest_round_and_its_widest_message() {
     let width = |m: &u64| (64 - m.leading_zeros()) as usize;
     let g = graphgen::generators::gnp(40, 0.2, 7);
-    let seq = CongestExecutor::new(&g, 3, width)
+    let budget = 3;
+    let metered = CongestExecutor::new(&g, 64, width)
         .run(&StaggerSumMsg, 100)
-        .unwrap_err();
-    for k in THREAD_COUNTS {
-        let par = CongestExecutor::new(&g, 3, width)
-            .with_threads(k)
-            .run(&StaggerSumMsg, 100)
-            .unwrap_err();
-        match (&seq, &par) {
-            (
-                localsim::CongestError::BandwidthExceeded {
-                    bits: b1,
-                    round: r1,
-                    ..
-                },
-                localsim::CongestError::BandwidthExceeded {
-                    bits: b2,
-                    round: r2,
-                    ..
-                },
-            ) => {
-                assert_eq!((b1, r1), (b2, r2), "threads={k}");
-            }
-            other => panic!("expected bandwidth violations, got {other:?}"),
-        }
+        .unwrap();
+    let first = metered
+        .per_round
+        .iter()
+        .find(|r| r.max_bits > budget)
+        .expect("some message exceeds 3 bits");
+    // Later rounds carry wider messages, so "earliest" and "widest
+    // overall" are different answers here.
+    assert!(metered.max_message_bits > first.max_bits);
+    match CongestExecutor::new(&g, budget, width).run(&StaggerSumMsg, 100) {
+        Err(localsim::CongestError::BandwidthExceeded {
+            bits,
+            budget: b,
+            round,
+        }) => assert_eq!((bits, b, round), (first.max_bits, budget, first.round)),
+        other => panic!("expected a bandwidth violation, got {other:?}"),
     }
 }
 

@@ -50,13 +50,6 @@ fn crash_outside_the_graph_is_refused_by_every_executor() {
     };
     assert!(msg.contains("40@1") && msg.contains("40 nodes"), "{msg}");
 
-    let par = Executor::new(&g)
-        .with_threads(2)
-        .with_faults(plan.clone())
-        .run(&HaltAtOnce, 10)
-        .unwrap_err();
-    assert_eq!(par, state);
-
     let message = MessageExecutor::new(&g)
         .with_faults(plan.clone())
         .run(&HaltAtOnce, 10)

@@ -1,23 +1,15 @@
 //! Degree-weighted worklist partitioning: the balance guarantee of
-//! `segments_weighted` and the bit-identity of runs stepped over its
-//! segments versus the sequential schedule.
+//! `segments_weighted`, which splits a shard fleet's vertices.
 //!
 //! The partitioner's contract (see `par.rs`): segments are contiguous,
 //! non-empty, cover the worklist in order, and every segment's weight
 //! (`deg(v) + 1` summed over its nodes) exceeds the even share
 //! `ceil(total / k)` by *less than the heaviest single node* — the best
 //! bound any contiguous partition can promise, since a single hub may
-//! outweigh the share on its own. The executor suites here pin that
-//! hub-heavy worklists (star, lollipop) still step bit-identically to
-//! the sequential schedule across thread counts, clean and faulted.
-
-use std::sync::Arc;
+//! outweigh the share on its own.
 
 use graphgen::{Graph, GraphBuilder, NodeId};
-use localsim::{
-    segments_weighted, Executor, FaultPlan, LocalAlgorithm, NodeCtx, Probe, RecordingSink,
-    Transition,
-};
+use localsim::segments_weighted;
 use proptest::prelude::*;
 
 /// Checks the full `segments_weighted` contract for one (graph, live,
@@ -145,68 +137,4 @@ fn lollipop_segments_respect_weight_bound() {
         "first segment swallowed the whole clique head: {} nodes",
         segs[0].len()
     );
-}
-
-/// Staggered halting (same shape as the equivalence suite) so worklists
-/// compact while the partitioner re-splits them every round.
-struct StaggerSum;
-
-impl LocalAlgorithm for StaggerSum {
-    type State = u64;
-    type Output = u64;
-
-    fn init(&self, ctx: &NodeCtx) -> u64 {
-        ctx.uid + 1
-    }
-
-    fn step(&self, ctx: &NodeCtx, state: &u64, nbrs: &[u64]) -> Transition<u64, u64> {
-        let s = state.wrapping_add(nbrs.iter().sum::<u64>());
-        if ctx.round > u64::from(ctx.node.0) % 5 {
-            Transition::Halt(s)
-        } else {
-            Transition::Continue(s)
-        }
-    }
-}
-
-/// Hub-heavy graphs step bit-identically (outputs, rounds, full event
-/// stream) under weighted partitioning at every thread count, clean and
-/// under a lossy fault plan.
-#[test]
-fn skewed_graphs_step_bit_identically() {
-    let graphs = [graphgen::generators::star(63), lollipop(16, 48)];
-    let plans: [Option<FaultPlan>; 2] = [
-        None,
-        Some(FaultPlan {
-            seed: 9,
-            message_drop_p: 0.25,
-            round_jitter: 2,
-            node_crash: Vec::new(),
-        }),
-    ];
-    for g in &graphs {
-        for plan in &plans {
-            let sink = Arc::new(RecordingSink::new());
-            let mut seq = Executor::new(g).with_probe(Probe::new(sink.clone()));
-            if let Some(p) = plan {
-                seq = seq.with_faults(p.clone());
-            }
-            let seq = seq.run(&StaggerSum, 200).unwrap();
-            let seq_events = sink.events();
-            for k in [2, 4, 8] {
-                let psink = Arc::new(RecordingSink::new());
-                let mut par = Executor::new(g)
-                    .with_threads(k)
-                    .with_probe(Probe::new(psink.clone()));
-                if let Some(p) = plan {
-                    par = par.with_faults(p.clone());
-                }
-                let par = par.run(&StaggerSum, 200).unwrap();
-                let tag = format!("threads={k}, faulted={}", plan.is_some());
-                assert_eq!(par.outputs, seq.outputs, "{tag}");
-                assert_eq!(par.rounds, seq.rounds, "{tag}");
-                assert_eq!(psink.events(), seq_events, "{tag}");
-            }
-        }
-    }
 }

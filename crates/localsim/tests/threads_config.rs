@@ -11,28 +11,9 @@
 //! whole scenario lives in one `#[test]` because the lock is
 //! process-global and test functions share the process.
 
-use localsim::{
-    default_threads, set_default_threads, Executor, LocalAlgorithm, NodeCtx, Transition,
-};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-struct CountRounds;
-
-impl LocalAlgorithm for CountRounds {
-    type State = u64;
-    type Output = u64;
-
-    fn init(&self, _ctx: &NodeCtx) -> u64 {
-        0
-    }
-
-    fn step(&self, ctx: &NodeCtx, state: &u64, _nbrs: &[u64]) -> Transition<u64, u64> {
-        if ctx.round >= 3 {
-            Transition::Halt(*state + 1)
-        } else {
-            Transition::Continue(*state + 1)
-        }
-    }
-}
+use localsim::{default_threads, pool_lease, set_default_threads};
 
 #[test]
 fn default_is_immutable_after_first_resolution() {
@@ -58,21 +39,19 @@ fn default_is_immutable_after_first_resolution() {
     assert!(!set_default_threads(resolved));
     assert_eq!(default_threads(), resolved);
 
-    // The frozen default does not cap explicit opt-in: an executor
-    // handed `with_threads(4)` leases a 4-slot pool and still steps
-    // (bit-identically — see tests/equivalence.rs) even though the
-    // process default stayed at `resolved`.
-    let g = graphgen::generators::star(16);
-    let seq = Executor::new(&g).run(&CountRounds, 10).unwrap();
-    let par = Executor::new(&g)
-        .with_threads(4)
-        .run(&CountRounds, 10)
-        .unwrap();
-    assert_eq!(par.outputs, seq.outputs);
-    assert_eq!(par.rounds, seq.rounds);
+    // The frozen default does not cap an explicit width: a 4-slot lease
+    // runs every slot even though the process default stayed at
+    // `resolved`, and leasing it leaves the default alone.
+    let mut pool = pool_lease(4);
+    assert_eq!(pool.slots(), 4);
+    let hits = AtomicUsize::new(0);
+    pool.run_epoch(&|_| {
+        hits.fetch_add(1, Ordering::Relaxed);
+    });
+    assert_eq!(hits.load(Ordering::Relaxed), 4);
     assert_eq!(
         default_threads(),
         resolved,
-        "explicit with_threads leaked into the default"
+        "an explicit pool width leaked into the default"
     );
 }

@@ -129,8 +129,7 @@ pub struct CongestColoring {
 pub fn congest_delta_plus_one(g: &Graph, seed: u64) -> Result<CongestColoring, CongestError> {
     let palette = g.max_degree() as u32 + 1;
     let budget_bits = (32 - palette.leading_zeros()) as usize + 2;
-    let ex =
-        CongestExecutor::new(g, budget_bits, msg_bits).with_threads(localsim::default_threads());
+    let ex = CongestExecutor::new(g, budget_bits, msg_bits);
     let max_rounds = 200 + 40 * (usize::BITS - g.n().leading_zeros()) as u64;
     let run = ex.run(&TrialProgram { seed, palette }, max_rounds)?;
     let coloring = Coloring::from_vec(run.outputs.into_iter().map(Some).collect());

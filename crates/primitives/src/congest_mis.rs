@@ -141,8 +141,7 @@ pub fn congest_mis(g: &Graph, seed: u64) -> Result<CongestRun<Vec<bool>>, Conges
     let bits = 2 * (usize::BITS - g.n().leading_zeros()) as u64 + 8;
     let space = 1u64 << bits.min(62);
     let budget_bits = bits as usize + 4;
-    let ex = CongestExecutor::new(g, budget_bits, mis_msg_bits)
-        .with_threads(localsim::default_threads());
+    let ex = CongestExecutor::new(g, budget_bits, mis_msg_bits);
     let max_rounds = 100 + 32 * (usize::BITS - g.n().leading_zeros()) as u64;
     let run = ex.run(
         &LubyCongest {
@@ -292,7 +291,7 @@ pub fn congest_matching(
     g: &Graph,
     seed: u64,
 ) -> Result<CongestRun<Vec<Option<NodeId>>>, CongestError> {
-    let ex = CongestExecutor::new(g, 2, match_msg_bits).with_threads(localsim::default_threads());
+    let ex = CongestExecutor::new(g, 2, match_msg_bits);
     let max_rounds = 300 + 90 * (usize::BITS - g.n().leading_zeros()) as u64;
     let run = ex.run(&MatchCongest { seed }, max_rounds)?;
     Ok(CongestRun {

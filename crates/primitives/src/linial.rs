@@ -179,7 +179,6 @@ pub(crate) fn linial_coloring_probed(
         Some(u) => Executor::with_uids(g, u)?,
         None => Executor::new(g),
     }
-    .with_threads(localsim::default_threads())
     .with_probe(probe.clone());
     if schedule.is_empty() {
         // Ids already fit the target space; zero communication needed.
@@ -370,7 +369,6 @@ pub fn delta_plus_one_coloring_probed(
     let algo = AdditiveReduction::new(&colors, space, delta);
     let rounds = algo.rounds();
     let run = Executor::new(g)
-        .with_threads(localsim::default_threads())
         .with_probe(probe.clone())
         .run(&algo, rounds)?;
     let coloring = Coloring::from_vec(run.outputs.iter().map(|&c| Some(Color(c))).collect());

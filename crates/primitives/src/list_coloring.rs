@@ -221,7 +221,6 @@ pub fn deg_plus_one_list_color_probed(
         .collect();
     let algo = SweepAlgo::new(schedule, palettes, classes);
     let run = Executor::new(h)
-        .with_threads(localsim::default_threads())
         .with_probe(probe.clone())
         .run(&algo, u64::from(classes) + 1)?;
     let coloring = Coloring::from_vec(run.outputs.into_iter().map(Some).collect());

@@ -219,7 +219,6 @@ pub fn maximal_matching_det_direct_probed(
         .collect();
     let budget = 3 * u64::from(classes) * (g.max_degree() as u64 + 3) + 10;
     let run = Executor::new(g)
-        .with_threads(localsim::default_threads())
         .with_probe(probe.clone())
         .run(&ClassProposalMatching { schedule, classes }, budget)?;
     let mut edges = Vec::new();
@@ -396,7 +395,6 @@ pub fn maximal_matching_rand_probed(
     }
     let budget = 200 + 60 * (usize::BITS - g.n().leading_zeros()) as u64;
     let run = Executor::new(g)
-        .with_threads(localsim::default_threads())
         .with_probe(probe.clone())
         .run(&ProposalMatching { seed }, budget)?;
     let mut edges = Vec::new();

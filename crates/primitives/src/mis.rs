@@ -116,7 +116,6 @@ pub fn mis_deterministic_probed(
         .collect();
     let algo = ClassGreedyMis { schedule, classes };
     let run = Executor::new(g)
-        .with_threads(localsim::default_threads())
         .with_probe(probe.clone())
         .run(&algo, u64::from(classes) + 2)?;
     Ok(Timed::new(run.outputs, helper.rounds + run.rounds))
@@ -217,7 +216,6 @@ pub fn mis_luby_probed(g: &Graph, seed: u64, probe: &Probe) -> Result<Timed<Vec<
     }
     let budget = 64 + 16 * (usize::BITS - g.n().leading_zeros()) as u64;
     let run = Executor::new(g)
-        .with_threads(localsim::default_threads())
         .with_probe(probe.clone())
         .run(&LubyMis { seed }, budget)?;
     Ok(Timed::new(run.outputs, run.rounds))

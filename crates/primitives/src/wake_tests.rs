@@ -1,9 +1,8 @@
 //! The `wake` hints of the additive-group reduction and the list
 //! coloring sweep, checked against the same algorithms with the hint
-//! stripped: outputs, rounds and per-round telemetry must be identical at
-//! every thread count.
+//! stripped: outputs, rounds and per-round telemetry must be identical.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use graphgen::generators::{self, HardCliqueParams};
@@ -38,7 +37,7 @@ impl<A: LocalAlgorithm> LocalAlgorithm for NoWake<A> {
 /// Forwards all three methods and counts `step` calls.
 struct Counted<A> {
     inner: A,
-    steps: AtomicU64,
+    steps: Cell<u64>,
 }
 
 impl<A: LocalAlgorithm> LocalAlgorithm for Counted<A> {
@@ -55,7 +54,7 @@ impl<A: LocalAlgorithm> LocalAlgorithm for Counted<A> {
         state: &A::State,
         nbrs: &[A::State],
     ) -> Transition<A::State, A::Output> {
-        self.steps.fetch_add(1, Ordering::Relaxed);
+        self.steps.set(self.steps.get() + 1);
         self.inner.step(ctx, state, nbrs)
     }
 
@@ -88,51 +87,39 @@ fn graphs() -> Vec<(&'static str, Graph)> {
 }
 
 /// Runs `algo` to completion and returns its outputs, rounds and events.
-fn run<A>(g: &Graph, algo: &A, budget: u64, threads: usize) -> (Vec<A::Output>, u64, Vec<Event>)
-where
-    A: LocalAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Output: Send,
-{
+fn run<A: LocalAlgorithm>(g: &Graph, algo: &A, budget: u64) -> (Vec<A::Output>, u64, Vec<Event>) {
     let sink = Arc::new(RecordingSink::new());
     let run = Executor::new(g)
-        .with_threads(threads)
         .with_probe(Probe::new(sink.clone()))
         .run(algo, budget)
         .unwrap();
     (run.outputs, run.rounds, sink.events())
 }
 
-/// Asserts that `make()` runs identically with and without its hint at
-/// 1, 2 and 4 threads, and that the hint spared some steps.
+/// Asserts that `make()` runs identically with and without its hint,
+/// and that the hint spared some steps.
 fn assert_hint_is_invisible<A, F>(name: &str, g: &Graph, budget: u64, make: F)
 where
-    A: LocalAlgorithm + Sync,
-    A::State: Send + Sync,
-    A::Output: Send + PartialEq + std::fmt::Debug,
+    A: LocalAlgorithm,
+    A::Output: PartialEq + std::fmt::Debug,
     F: Fn() -> A,
 {
     let counted = || Counted {
         inner: make(),
-        steps: AtomicU64::new(0),
+        steps: Cell::new(0),
     };
     let unhinted = NoWake(counted());
-    let reference = run(g, &unhinted, budget, 1);
-    for threads in [1, 2, 4] {
-        let algo = counted();
-        let hinted = run(g, &algo, budget, threads);
-        assert_eq!(hinted.0, reference.0, "{name}: outputs, {threads} threads");
-        assert_eq!(hinted.1, reference.1, "{name}: rounds, {threads} threads");
-        assert_eq!(hinted.2, reference.2, "{name}: events, {threads} threads");
-        let (stepped, all) = (
-            algo.steps.into_inner(),
-            unhinted.0.steps.load(Ordering::Relaxed),
-        );
-        assert!(
-            stepped < all,
-            "{name}: {stepped} of {all} steps taken with the hint"
-        );
-    }
+    let reference = run(g, &unhinted, budget);
+    let algo = counted();
+    let hinted = run(g, &algo, budget);
+    assert_eq!(hinted.0, reference.0, "{name}: outputs");
+    assert_eq!(hinted.1, reference.1, "{name}: rounds");
+    assert_eq!(hinted.2, reference.2, "{name}: events");
+    let (stepped, all) = (algo.steps.get(), unhinted.0.steps.get());
+    assert!(
+        stepped < all,
+        "{name}: {stepped} of {all} steps taken with the hint"
+    );
 }
 
 #[test]

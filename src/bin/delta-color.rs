@@ -9,7 +9,7 @@
 //! delta-color color graph.txt --metrics-out m.json  # metrics snapshot
 //! delta-color color graph.txt --trace-out t.jsonl   # structured trace
 //! delta-color color graph.txt --faults seed=7,drop=0.01   # fault injection
-//! delta-color color graph.txt --threads 4      # worker pool width
+//! delta-color color graph.txt --threads 4      # component/loophole pool width
 //! delta-color color graph.txt --checkpoint-dir ckpt   # phase snapshots
 //! delta-color color graph.txt --resume ckpt/checkpoint-06-pre-shattering.json
 //! delta-color replay bundles/bundle-after-post-shattering.json
@@ -193,9 +193,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 let k: usize = k
                     .parse()
                     .map_err(|e| format!("invalid --threads value `{k}`: {e}"))?;
-                // Overrides LOCALSIM_THREADS for executor stepping and the
-                // pipeline component pool. Every result is bit-identical at
-                // any thread count; this only changes wall-clock.
+                // Overrides LOCALSIM_THREADS for the pipeline pool that runs
+                // leftover components and loophole brute force; executors
+                // always step sequentially. Every result is bit-identical
+                // at any thread count; this only changes wall-clock.
                 set_default_threads(k);
             }
             let g = io::read_edge_list(path)
@@ -794,7 +795,6 @@ fn render_utilization(hub: &MetricsHub) -> String {
     let hists = [
         "pool.call_ns",
         "exec.round_ns",
-        "exec.segment_ns",
         "msg.round_ns",
         "supervisor.checkpoint_write_ns",
         "supervisor.resume_restore_ns",
