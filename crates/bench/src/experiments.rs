@@ -205,9 +205,11 @@ pub fn e2_delta_scaling(quick: bool) -> ExperimentOutput {
     }
     let markdown = format!(
         "## E2 — Theorem 1: Δ-dependence\n\n\
-         The paper's branch is `O(Δ + log n)`. Every `T_MIS` and `T_deg+1` call here \
-         runs the `(Δ+1)`-coloring helper, Linial then the additive-group reduction, in \
-         `O(Δ + log* n)` rounds, as §3.8 assumes. A flat `rounds / Δ` column means \
+         The paper's branch is `O(Δ + log n)`. Every `T_MIS` call here runs the \
+         `(Δ+1)`-coloring helper, Linial then the additive-group reduction, in \
+         `O(Δ + log* n)` rounds, as §3.8 assumes; the `T_deg+1` instances on subgraphs \
+         of G sweep the classes of one such helper of all of G, which overlaps the \
+         earlier phases (DESIGN.md §1 rule 4), or their own when that is shorter. A flat `rounds / Δ` column means \
          linear growth in Δ; a falling `rounds / (Δ·log₂Δ)` column means growth below \
          `Δ log Δ`. The remaining substitutions are in DESIGN.md.\n\n{}\n",
         table.to_markdown()
@@ -526,9 +528,11 @@ pub fn e6_baselines(quick: bool) -> ExperimentOutput {
         "## E6 — why Δ-coloring needs machinery (baseline comparison)\n\n\
          Δ = {delta} hard instances. The greedy-regime (Δ+1)-coloring is cheap and flat; \
          the naive Δ-coloring stalls the whole graph around one slack source and grows \
-         with the diameter; the paper's pipeline stays between them with at most \
-         logarithmic growth. Greedy with Δ colors jams (last column: vertices reached \
-         with an empty palette).\n\n{}\n\
+         with the diameter; the paper's pipeline grows at most logarithmically. At \
+         this Δ and these sizes the diameter is still small, so stalling is cheaper \
+         than the pipeline; the ring-of-cliques table below shows the crossover. \
+         Greedy with Δ colors jams (last column: vertices reached with an empty \
+         palette).\n\n{}\n\
          ### High-diameter dense family (ring of cliques, diameter Θ(n/Δ))\n\n\
          Here the crossover is decisive: global stalling pays the full diameter while \
          the pipeline's per-clique loopholes keep it flat.\n\n{}\n",
@@ -624,7 +628,8 @@ pub fn e7_easy_rounds(quick: bool) -> ExperimentOutput {
          Instances with planted loopholes (deleted intra-clique edges → degree-deficient \
          vertices; rewired external edges → non-clique 4-cycles). Lemma 20 predicts a \
          constant number of layers (≤ 25 at the paper's ε) and `T_rs + O(T_deg+1)` \
-         rounds, flat in n.\n\n{}\n\
+         rounds for the easy sweep, flat in n. The total rounds also include the hard \
+         cliques' phases 1–4, so they are not flat in n.\n\n{}\n\
          ### Ablation D4: ruling-set radius (Lemma 19's r; our power-graph MIS)\n\n\
          Larger radii select fewer loopholes but pay the dilation of the power graph — \
          the trade Lemma 19 optimizes.\n\n{}\n",

@@ -14,7 +14,8 @@
 
 use acd::AcdResult;
 use graphgen::{Color, Coloring, Graph, NodeId};
-use localsim::RoundLedger;
+use localsim::{Probe, RoundLedger};
+use primitives::{linial, list_coloring};
 use serde::{Deserialize, Serialize};
 
 use crate::classify::Classification;
@@ -109,9 +110,7 @@ pub fn color_hard_cliques_phase4(
         }
         let palettes: Vec<Vec<Color>> = (0..gv.n()).map(|_| pair_palette.to_vec()).collect();
         let probe = ledger.probe().clone();
-        let timed = primitives::list_coloring::deg_plus_one_list_color_probed(
-            &gv, &palettes, None, &probe,
-        )?;
+        let timed = list_coloring::deg_plus_one_list_color_probed(&gv, &palettes, None, &probe)?;
         ledger.charge_virtual("phase4a/slack pair coloring", timed.rounds, PAIR_DILATION);
         for (i, t) in triads.triads.iter().enumerate() {
             let c = timed
@@ -191,8 +190,28 @@ pub(crate) fn can_stall(
             .any(|&w| !cls.is_hard_vertex[w.index()] && !coloring.is_colored(w))
 }
 
+/// Ledger name of the run's shared `(Δ+1)`-coloring of `G`, charged
+/// with [`RoundLedger::charge_overlapped`] when an instance first sweeps
+/// its classes.
+pub const SHARED_HELPER: &str = "shared (Δ+1)-coloring of G";
+
 /// Runs one `(deg+1)`-list instance over `active` with palettes = free
 /// colors in `0..delta`, merging results into `coloring`.
+///
+/// The instance sweeps the classes of one of two helper colorings,
+/// whichever has the shorter fixed schedule — both are known to every
+/// node before it runs:
+///
+/// * its own `(Δ_H+1)`-coloring of the induced subgraph `H`: Linial's
+///   steps, the additive-group reduction and `Δ_H + 1` sweep rounds;
+/// * the run's one `(Δ+1)`-coloring of `G` ([`SHARED_HELPER`]), proper on
+///   every subgraph: `Δ + 1` sweep rounds, plus the helper's rounds not
+///   yet elapsed. It reads only `G` and the ids, so it runs from round 0
+///   alongside the earlier phases; it is computed once per ledger family
+///   ([`RoundLedger::shared_coloring`]) and charged once per ledger.
+///
+/// On a tie the own schedule runs: the charged rounds are the same and it
+/// needs no helper of `G`.
 pub(crate) fn run_list_instance(
     g: &Graph,
     active: &[NodeId],
@@ -204,6 +223,31 @@ pub(crate) fn run_list_instance(
     if active.is_empty() {
         return Ok(());
     }
+    let (h, back) = g.induced(active);
+    let own = list_coloring::deg_plus_one_list_color_rounds(&h);
+    let helper_rounds = linial::delta_plus_one_rounds(g);
+    let classes = g.max_degree() as u32 + 1;
+    let shared = ledger.overlap_wait(SHARED_HELPER, helper_rounds) + u64::from(classes);
+    // The helper emits no events: its first use may fall in any leftover
+    // component on the pool, so its round events would make the trace
+    // depend on the thread count. Its one charge is the overlapped wait.
+    // Its executor rounds still reach the metrics hub, once per run
+    // whichever component computes it. It runs before the palettes are
+    // built, so its executor arenas are freed before they are allocated.
+    let helper = if own <= shared {
+        None
+    } else {
+        let metered = match ledger.probe().metrics() {
+            Some(hub) => Probe::disabled().with_metrics(hub.clone()),
+            None => Probe::disabled(),
+        };
+        Some(ledger.shared_coloring(|| {
+            linial::delta_plus_one_coloring_probed(g, None, &metered).map(|helper| {
+                debug_assert_eq!(helper.rounds, helper_rounds);
+                helper.value
+            })
+        })?)
+    };
     // One marker over `0..delta`, cleared after each vertex.
     let mut used = vec![false; delta as usize];
     let palettes: Vec<Vec<Color>> = active
@@ -223,11 +267,25 @@ pub(crate) fn run_list_instance(
         })
         .collect();
     let probe = ledger.probe().clone();
-    let timed = primitives::list_coloring::deg_plus_one_list_color_subset_probed(
-        g, active, &palettes, None, &probe,
-    )?;
+    let timed = match helper {
+        None => list_coloring::deg_plus_one_list_color_probed(&h, &palettes, None, &probe)?,
+        Some(helper) => {
+            ledger.charge_overlapped(SHARED_HELPER, helper_rounds);
+            let schedule = back
+                .iter()
+                .map(|&v| helper.get(v).expect("the helper coloring is complete").0)
+                .collect();
+            list_coloring::deg_plus_one_list_color_scheduled(
+                &h, &palettes, schedule, classes, &probe,
+            )?
+        }
+    };
     ledger.charge(phase, timed.rounds);
-    for (v, c) in timed.value {
+    for (i, &v) in back.iter().enumerate() {
+        let c = timed
+            .value
+            .get(NodeId::from(i))
+            .expect("complete list coloring");
         coloring.set(v, c);
     }
     Ok(())

@@ -379,6 +379,7 @@ pub(crate) fn rand_phase_postshatter(
     // — documented as a nondeterministic safety net — can break this.
     let record_events = probe.enabled();
     let contain = sup.degrade;
+    let component_base = ledger.fork(Probe::disabled());
     let outcomes = crate::pool::run_indexed_with_metered(
         crate::pool::effective_threads(config.base.threads),
         components.len(),
@@ -410,7 +411,9 @@ pub(crate) fn rand_phase_postshatter(
             if let Some(hub) = probe.metrics() {
                 comp_probe = comp_probe.with_metrics(hub.clone());
             }
-            let mut comp_ledger = RoundLedger::with_probe(comp_probe.clone());
+            // Every component starts once pre-shattering ends and shares
+            // the run's helper coloring of G.
+            let mut comp_ledger = component_base.fork(comp_probe.clone());
             let mut comp_recovery = RecoveryStats::default();
             let started = std::time::Instant::now();
             let solve = |scratch: &mut Coloring,
@@ -905,7 +908,7 @@ fn solve_component_faulted(
 ) -> Result<(), DeltaColoringError> {
     let delta = g.max_degree();
     for attempt in 0..MAX_COMPONENT_ATTEMPTS {
-        let mut attempt_ledger = RoundLedger::with_probe(probe.clone());
+        let mut attempt_ledger = comp_ledger.fork(probe.clone());
         solve_component(
             g,
             acd,

@@ -1,7 +1,9 @@
 //! Round accounting for composite algorithms.
 
 use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
+use graphgen::Coloring;
 use serde::{Deserialize, Serialize};
 use telemetry::{ChargeKind, Event, Probe};
 
@@ -17,7 +19,7 @@ pub struct LedgerEntry {
 /// Accumulates the LOCAL-round cost of a composite algorithm, phase by
 /// phase.
 ///
-/// Three kinds of charges exist, mirroring how the paper accounts rounds:
+/// Four kinds of charges exist, mirroring how the paper accounts rounds:
 ///
 /// * [`RoundLedger::charge`] — rounds measured by an [`crate::Executor`]
 ///   run on the real communication graph.
@@ -27,6 +29,16 @@ pub struct LedgerEntry {
 /// * [`RoundLedger::charge_virtual`] — rounds of a subroutine run on a
 ///   virtual graph, multiplied by the constant dilation of simulating one
 ///   virtual round on the real network.
+/// * [`RoundLedger::charge_overlapped`] — a step that reads only the graph
+///   and the ids, so it runs from round 0 alongside the charged phases:
+///   its first use waits only for the rounds not yet elapsed.
+///
+/// A ledger accounts one run on one graph. Besides its entries it carries
+/// that run's shared `(Δ+1)`-coloring of the graph
+/// ([`RoundLedger::shared_coloring`]), computed on first use. It is
+/// working data, not state: neither serialized nor compared, shared by
+/// clones and forks, and computed again by a ledger restored from a
+/// snapshot.
 ///
 /// # Example
 ///
@@ -43,6 +55,10 @@ pub struct LedgerEntry {
 pub struct RoundLedger {
     entries: Vec<LedgerEntry>,
     probe: Probe,
+    /// Rounds elapsed in the run before this ledger's first entry: 0, or
+    /// the parent's elapsed rounds for a [`RoundLedger::fork`].
+    start: u64,
+    shared: Arc<Mutex<Option<Arc<Coloring>>>>,
 }
 
 impl PartialEq for RoundLedger {
@@ -63,7 +79,7 @@ impl<'de> Deserialize<'de> for RoundLedger {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         Ok(RoundLedger {
             entries: Vec::from_value(v.field("entries")?)?,
-            probe: Probe::disabled(),
+            ..RoundLedger::default()
         })
     }
 }
@@ -78,8 +94,21 @@ impl RoundLedger {
     /// [`Event::Charge`] events.
     pub fn with_probe(probe: Probe) -> Self {
         RoundLedger {
+            probe,
+            ..RoundLedger::default()
+        }
+    }
+
+    /// An empty ledger for a sub-run that starts now, such as one leftover
+    /// component solved alongside the others: it reports to `probe`,
+    /// counts this ledger's elapsed rounds as its start, and shares this
+    /// ledger's [`RoundLedger::shared_coloring`].
+    pub fn fork(&self, probe: Probe) -> RoundLedger {
+        RoundLedger {
             entries: Vec::new(),
             probe,
+            start: self.elapsed(),
+            shared: Arc::clone(&self.shared),
         }
     }
 
@@ -115,6 +144,66 @@ impl RoundLedger {
     /// Charges `rounds` virtual-graph rounds at the given `dilation`.
     pub fn charge_virtual(&mut self, phase: impl Into<String>, rounds: u64, dilation: u64) {
         self.record(phase.into(), rounds * dilation, ChargeKind::Virtual);
+    }
+
+    /// Charges a step of `rounds` rounds that reads only the graph and the
+    /// ids, so it ran from round 0 with its messages sent alongside those
+    /// of the steps charged before: the first time this ledger sees
+    /// `phase` it charges the `max(0, rounds − elapsed)` rounds still to
+    /// wait, later calls charge nothing. "Seen" is read from the entries,
+    /// so a ledger restored from a snapshot inherits it. Returns the rounds
+    /// charged.
+    ///
+    /// ```
+    /// use localsim::RoundLedger;
+    ///
+    /// let mut ledger = RoundLedger::new();
+    /// ledger.charge("phase", 40);
+    /// assert_eq!(ledger.charge_overlapped("helper", 58), 18);
+    /// assert_eq!(ledger.charge_overlapped("helper", 58), 0);
+    /// assert_eq!(ledger.total(), 58);
+    /// ```
+    pub fn charge_overlapped(&mut self, phase: impl Into<String>, rounds: u64) -> u64 {
+        let phase = phase.into();
+        if self.has_entry(&phase) {
+            return 0;
+        }
+        let wait = rounds.saturating_sub(self.elapsed());
+        self.record(phase, wait, ChargeKind::Overlapped);
+        wait
+    }
+
+    /// What [`RoundLedger::charge_overlapped`] would charge now.
+    pub fn overlap_wait(&self, phase: &str, rounds: u64) -> u64 {
+        if self.has_entry(phase) {
+            0
+        } else {
+            rounds.saturating_sub(self.elapsed())
+        }
+    }
+
+    fn has_entry(&self, phase: &str) -> bool {
+        self.entries.iter().any(|e| e.phase == phase)
+    }
+
+    /// The run's `(Δ+1)`-coloring of its whole graph, from `compute` on
+    /// the first call of any clone or fork of this ledger and shared by
+    /// every later one. Concurrent first calls compute it once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `compute`'s error; a later call tries again.
+    pub fn shared_coloring<E>(
+        &self,
+        compute: impl FnOnce() -> Result<Coloring, E>,
+    ) -> Result<Arc<Coloring>, E> {
+        let mut slot = self.shared.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(coloring) = &*slot {
+            return Ok(Arc::clone(coloring));
+        }
+        let coloring = Arc::new(compute()?);
+        *slot = Some(Arc::clone(&coloring));
+        Ok(coloring)
     }
 
     /// Runs `f` inside a telemetry span `path` on this ledger's probe and
@@ -175,6 +264,12 @@ impl RoundLedger {
     /// Total rounds charged.
     pub fn total(&self) -> u64 {
         self.entries.iter().map(|e| e.rounds).sum()
+    }
+
+    /// Rounds elapsed in the run so far: the total, plus the parent's
+    /// elapsed rounds when this ledger is a [`RoundLedger::fork`].
+    pub fn elapsed(&self) -> u64 {
+        self.start + self.total()
     }
 
     /// Total rounds charged to phases whose name contains `needle`.
@@ -334,6 +429,90 @@ mod tests {
     }
 
     #[test]
+    fn overlapped_charge_waits_once_for_the_rounds_not_yet_elapsed() {
+        let mut l = RoundLedger::new();
+        l.charge("phases", 49);
+        assert_eq!(l.overlap_wait("helper", 58), 9);
+        assert_eq!(l.charge_overlapped("helper", 58), 9);
+        assert_eq!(l.overlap_wait("helper", 58), 0);
+        assert_eq!(l.charge_overlapped("helper", 58), 0);
+        assert_eq!(l.total(), 58);
+        assert_eq!(l.entries().len(), 2, "a seen name records nothing more");
+
+        // Already elapsed: the first use waits 0 rounds but is still
+        // recorded, so the step is seen from then on.
+        let mut l = RoundLedger::new();
+        l.charge("phases", 300);
+        assert_eq!(l.charge_overlapped("helper", 190), 0);
+        assert_eq!(
+            l.entries()[1],
+            LedgerEntry {
+                phase: "helper".into(),
+                rounds: 0
+            }
+        );
+        l.charge("later", 5);
+        assert_eq!(l.charge_overlapped("helper", 900), 0);
+        assert_eq!(l.total(), 305);
+    }
+
+    #[test]
+    fn overlapped_charge_survives_a_snapshot_round_trip() {
+        let mut l = RoundLedger::new();
+        l.charge("phases", 10);
+        l.charge_overlapped("helper", 58);
+        let json = serde::json::to_string(&l);
+        let mut resumed: RoundLedger = serde::json::from_str(&json).unwrap();
+        assert_eq!(resumed, l);
+        assert_eq!(resumed.charge_overlapped("helper", 58), 0);
+        assert_eq!(resumed.total(), 58);
+        assert_eq!(resumed.entries(), l.entries());
+    }
+
+    #[test]
+    fn a_fork_starts_at_its_parents_elapsed_rounds() {
+        let mut parent = RoundLedger::new();
+        parent.charge("pre", 30);
+        let mut fork = parent.fork(Probe::disabled());
+        assert_eq!((fork.total(), fork.elapsed()), (0, 30));
+        fork.charge("phase", 20);
+        assert_eq!(fork.charge_overlapped("helper", 58), 8);
+        assert_eq!((fork.total(), fork.elapsed()), (28, 58));
+        assert_eq!(
+            parent.overlap_wait("helper", 58),
+            28,
+            "the parent has not seen it"
+        );
+    }
+
+    #[test]
+    fn the_shared_coloring_is_computed_once_per_ledger_family() {
+        let l = RoundLedger::new();
+        let calls = std::cell::Cell::new(0);
+        let compute = || {
+            calls.set(calls.get() + 1);
+            Ok::<_, ()>(Coloring::empty(3))
+        };
+        let a = l.shared_coloring(compute).unwrap();
+        let b = l.clone().shared_coloring(compute).unwrap();
+        let c = l.fork(Probe::disabled()).shared_coloring(compute).unwrap();
+        assert_eq!(calls.get(), 1);
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &c));
+        assert_eq!(
+            l.shared_coloring(|| Err::<Coloring, _>("unused")).unwrap(),
+            a
+        );
+        // A ledger restored from a snapshot starts without it.
+        let restored: RoundLedger = serde::json::from_str(&serde::json::to_string(&l)).unwrap();
+        assert!(restored
+            .shared_coloring(|| Err::<Coloring, _>("recomputed"))
+            .is_err());
+        // A failed computation leaves the slot empty for the next call.
+        assert_eq!(restored.shared_coloring(compute).unwrap().len(), 3);
+        assert_eq!(calls.get(), 2);
+    }
+
+    #[test]
     fn span_closes_with_the_rounds_charged_inside_even_on_err() {
         use telemetry::RecordingSink;
 
@@ -373,6 +552,7 @@ mod tests {
         inner.charge("matching", 4);
         l.absorb("phase1", inner);
         l.absorb_parallel_max("shatter", vec![]);
+        l.charge_overlapped("helper", 100);
 
         let events = sink.events();
         assert_eq!(
@@ -403,8 +583,13 @@ mod tests {
                     rounds: 0,
                     kind: ChargeKind::Absorbed
                 },
+                Event::Charge {
+                    path: "helper".into(),
+                    rounds: 69,
+                    kind: ChargeKind::Overlapped
+                },
             ]
         );
-        assert_eq!(l.total(), 31);
+        assert_eq!(l.total(), 100);
     }
 }

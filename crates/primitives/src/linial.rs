@@ -91,6 +91,22 @@ fn linial_schedule(delta: usize, m0: u128) -> Vec<LinialStep> {
 
 /// Evaluates the polynomial with base-`q` digits of `c` as coefficients.
 fn poly_eval(c: u64, q: u64, degree: usize, x: u64) -> u64 {
+    if x == 0 {
+        return c % q;
+    }
+    if q <= u64::from(u32::MAX) {
+        // Every product of two residues fits in u64, and so does adding a
+        // residue to one: (q − 1)² + q < 2⁶⁴.
+        let mut acc = 0;
+        let mut rem = c;
+        let mut xp = 1;
+        for _ in 0..=degree {
+            acc = (acc + rem % q * xp) % q;
+            rem /= q;
+            xp = xp * x % q;
+        }
+        return acc;
+    }
     let mut acc: u128 = 0;
     let mut rem = c;
     let mut xp: u128 = 1;
@@ -320,6 +336,33 @@ impl LocalAlgorithm for AdditiveReduction {
     }
 }
 
+/// The rounds [`delta_plus_one_coloring`] charges on `g` with the
+/// default ids `0..n`, computed from `n` and `Δ` alone without running
+/// it: Linial's steps, then the additive-group reduction's schedule
+/// unless Linial's color space already fits in `Δ + 1` colors.
+///
+/// ```
+/// use primitives::linial::{delta_plus_one_coloring, delta_plus_one_rounds};
+/// let g = graphgen::generators::random_regular(120, 6, 3);
+/// assert_eq!(delta_plus_one_rounds(&g), delta_plus_one_coloring(&g, None)?.rounds);
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn delta_plus_one_rounds(g: &Graph) -> u64 {
+    let delta = g.max_degree();
+    if delta == 0 {
+        return 0;
+    }
+    let m0 = g.n() as u64;
+    let steps = linial_schedule(delta, u128::from(m0));
+    let space = steps.last().map_or(m0, |s| s.q * s.q);
+    let reduce = if space <= delta as u64 + 1 {
+        0
+    } else {
+        AdditiveReduction::new(&[], space, delta as u64).rounds()
+    };
+    steps.len() as u64 + reduce
+}
+
 /// Computes a proper coloring with `Δ + 1` colors in `O(Δ + log* n)`
 /// rounds (Linial followed by the additive-group reduction).
 ///
@@ -367,6 +410,7 @@ pub fn delta_plus_one_coloring_probed(
         return Ok(Timed::new(coloring, linial.rounds));
     }
     let algo = AdditiveReduction::new(&colors, space, delta);
+    drop(colors);
     let rounds = algo.rounds();
     let run = Executor::new(g)
         .with_probe(probe.clone())
@@ -386,6 +430,35 @@ mod tests {
         assert_eq!(next_prime(8), 11);
         assert!(is_prime(97));
         assert!(!is_prime(91));
+    }
+
+    #[test]
+    fn poly_eval_matches_a_u128_evaluation_on_both_sides_of_2_pow_32() {
+        let reference = |c: u64, q: u64, degree: usize, x: u64| {
+            let (q, x) = (u128::from(q), u128::from(x));
+            let mut rem = u128::from(c);
+            let (mut acc, mut xp) = (0, 1);
+            for _ in 0..=degree {
+                acc = (acc + rem % q * xp) % q;
+                rem /= q;
+                xp = xp * x % q;
+            }
+            acc as u64
+        };
+        // The largest prime below 2³² and the smallest above it.
+        for q in [2, 37, 127, 65_521, 4_294_967_291, 4_294_967_311] {
+            for c in [0, 1, 36, 1368, 123_456_789, u64::MAX - 1, u64::MAX] {
+                for degree in 1..=4 {
+                    for x in [0, 1, 2, q / 2, q - 1] {
+                        assert_eq!(
+                            poly_eval(c, q, degree, x),
+                            reference(c, q, degree, x),
+                            "c = {c}, q = {q}, degree = {degree}, x = {x}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -466,6 +539,24 @@ mod tests {
             let t = g.max_degree() as u32 + 1;
             let out = delta_plus_one_coloring(&g, None).unwrap();
             out.value.check_complete(&g, t).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_predicted_rounds_are_the_rounds_charged() {
+        for g in [
+            Graph::from_edges(5, []).unwrap(),
+            generators::path(2),
+            generators::cycle(64),
+            generators::cycle(4096),
+            generators::complete(9),
+            generators::hypercube(5),
+            generators::random_regular(120, 6, 3),
+            generators::random_regular(2000, 16, 3),
+            generators::clique_ring(40, 6),
+        ] {
+            let charged = delta_plus_one_coloring(&g, None).unwrap().rounds;
+            assert_eq!(delta_plus_one_rounds(&g), charged, "n = {}", g.n());
         }
     }
 

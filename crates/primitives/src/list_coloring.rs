@@ -2,12 +2,18 @@
 //!
 //! Given a subgraph `H` in which every vertex `v` holds a palette of at
 //! least `deg_H(v) + 1` colors, a proper coloring from the palettes always
-//! exists and can be computed greedily. Distributedly we first compute a
-//! helper `(Δ_H + 1)`-coloring of `H` (Linial + the additive-group
-//! reduction, see [`crate::linial`]) and then sweep its color classes:
-//! when a class is scheduled, each of its members picks the smallest
-//! palette color unused by already-colored neighbors — at that moment at
-//! most `deg_H(v)` colors are blocked, so a palette color is always free.
+//! exists and can be computed greedily. Distributedly we sweep the color
+//! classes of a helper coloring, one class per round: when a class is
+//! scheduled, each of its members picks the smallest palette color unused
+//! by already-colored neighbors — at that moment at most `deg_H(v)` colors
+//! are blocked, so a palette color is always free.
+//!
+//! The helper is either `H`'s own `(Δ_H + 1)`-coloring (Linial + the
+//! additive-group reduction, see [`crate::linial`]) or any proper coloring
+//! of a graph that contains `H`, such as one `(Δ + 1)`-coloring of the
+//! whole input graph shared by every instance on its subgraphs
+//! ([`deg_plus_one_list_color_scheduled`]). The sweep is charged its fixed
+//! length, one round per helper class, which every node knows in advance.
 //!
 //! This plays the role of the paper's `T_{deg+1}` subroutine (Lemma 24);
 //! our round complexity is `O(Δ_H + log* n)`, the bound §3.8 assumes.
@@ -15,7 +21,7 @@
 use graphgen::{Color, Coloring, Graph, NodeId};
 use localsim::{Executor, LocalAlgorithm, NodeCtx, Probe, SimError, Transition};
 
-use crate::linial::delta_plus_one_coloring_probed;
+use crate::linial::{delta_plus_one_coloring_probed, delta_plus_one_rounds};
 use crate::Timed;
 
 /// Errors from list-coloring instances.
@@ -200,6 +206,76 @@ pub fn deg_plus_one_list_color_probed(
     uids: Option<Vec<u64>>,
     probe: &Probe,
 ) -> Result<Timed<Coloring>, ListColoringError> {
+    check_palettes(h, palettes)?;
+    if h.n() == 0 {
+        return Ok(Timed::new(Coloring::empty(0), 0));
+    }
+    let helper = delta_plus_one_coloring_probed(h, uids, probe)?;
+    let classes = h.max_degree() as u32 + 1;
+    let schedule: Vec<u32> = h
+        .vertices()
+        .map(|v| helper.value.get(v).expect("helper coloring is complete").0)
+        .collect();
+    let swept = sweep(h, palettes, schedule, classes, probe)?;
+    Ok(Timed::new(swept.value, helper.rounds + swept.rounds))
+}
+
+/// The rounds [`deg_plus_one_list_color`] charges on `h` with the default
+/// ids, known before it runs: its helper's fixed schedule
+/// ([`delta_plus_one_rounds`]) plus the `Δ_H + 1`-class sweep.
+pub fn deg_plus_one_list_color_rounds(h: &Graph) -> u64 {
+    if h.n() == 0 {
+        return 0;
+    }
+    delta_plus_one_rounds(h) + h.max_degree() as u64 + 1
+}
+
+/// Colors every vertex of `h` from its palette by sweeping the `classes`
+/// color classes of `schedule` (one class per vertex, each `< classes`),
+/// in the fixed `classes` rounds.
+///
+/// `schedule` must be a proper coloring of `h`; a proper coloring of any
+/// graph that contains `h`, restricted to `h`'s vertices, is one. So one
+/// `(Δ + 1)`-coloring of a graph serves every instance on its subgraphs.
+///
+/// # Examples
+///
+/// ```
+/// use graphgen::{Color, NodeId};
+/// let g = graphgen::generators::cycle(12);
+/// // The path 0..6 inside the cycle, scheduled by the cycle's parity
+/// // classes: two rounds regardless of the path's own helper.
+/// let active: Vec<NodeId> = (0..6).map(NodeId::from).collect();
+/// let (h, _) = g.induced(&active);
+/// let palettes = vec![vec![Color(0), Color(1), Color(2)]; 6];
+/// let schedule: Vec<u32> = (0..6).map(|v| v % 2).collect();
+/// let out = primitives::list_coloring::deg_plus_one_list_color_scheduled(
+///     &h, &palettes, schedule, 2, &localsim::Probe::disabled(),
+/// )?;
+/// assert_eq!(out.rounds, 2);
+/// out.value.check_complete(&h, 3)?;
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// # Errors
+///
+/// As [`deg_plus_one_list_color`].
+pub fn deg_plus_one_list_color_scheduled(
+    h: &Graph,
+    palettes: &[Vec<Color>],
+    schedule: Vec<u32>,
+    classes: u32,
+    probe: &Probe,
+) -> Result<Timed<Coloring>, ListColoringError> {
+    check_palettes(h, palettes)?;
+    assert_eq!(schedule.len(), h.n(), "one class per vertex");
+    if h.n() == 0 {
+        return Ok(Timed::new(Coloring::empty(0), 0));
+    }
+    sweep(h, palettes, schedule, classes, probe)
+}
+
+fn check_palettes(h: &Graph, palettes: &[Vec<Color>]) -> Result<(), ListColoringError> {
     assert_eq!(palettes.len(), h.n(), "one palette per vertex");
     for v in h.vertices() {
         if palettes[v.index()].len() < h.degree(v) + 1 {
@@ -210,21 +286,25 @@ pub fn deg_plus_one_list_color_probed(
             });
         }
     }
-    if h.n() == 0 {
-        return Ok(Timed::new(Coloring::empty(0), 0));
-    }
-    let helper = delta_plus_one_coloring_probed(h, uids, probe)?;
-    let classes = h.max_degree() as u32 + 1;
-    let schedule: Vec<u32> = h
-        .vertices()
-        .map(|v| helper.value.get(v).expect("helper coloring is complete").0)
-        .collect();
+    Ok(())
+}
+
+/// The class sweep, charged its fixed `classes` rounds: the executor may
+/// stop earlier when the top classes are empty, but no node can know that
+/// before they pass.
+fn sweep(
+    h: &Graph,
+    palettes: &[Vec<Color>],
+    schedule: Vec<u32>,
+    classes: u32,
+    probe: &Probe,
+) -> Result<Timed<Coloring>, ListColoringError> {
     let algo = SweepAlgo::new(schedule, palettes, classes);
     let run = Executor::new(h)
         .with_probe(probe.clone())
-        .run(&algo, u64::from(classes) + 1)?;
+        .run(&algo, u64::from(classes))?;
     let coloring = Coloring::from_vec(run.outputs.into_iter().map(Some).collect());
-    Ok(Timed::new(coloring, helper.rounds + run.rounds))
+    Ok(Timed::new(coloring, u64::from(classes)))
 }
 
 /// Convenience: a `(deg+1)`-list coloring instance on the subgraph of `g`
@@ -242,24 +322,8 @@ pub fn deg_plus_one_list_color_subset(
     palettes: &[Vec<Color>],
     uids: Option<Vec<u64>>,
 ) -> Result<Timed<Vec<(NodeId, Color)>>, ListColoringError> {
-    deg_plus_one_list_color_subset_probed(g, active, palettes, uids, &Probe::disabled())
-}
-
-/// [`deg_plus_one_list_color_subset`] with per-round telemetry mirrored to
-/// `probe`.
-///
-/// # Errors
-///
-/// Same as [`deg_plus_one_list_color`].
-pub fn deg_plus_one_list_color_subset_probed(
-    g: &Graph,
-    active: &[NodeId],
-    palettes: &[Vec<Color>],
-    uids: Option<Vec<u64>>,
-    probe: &Probe,
-) -> Result<Timed<Vec<(NodeId, Color)>>, ListColoringError> {
     let (h, back) = g.induced(active);
-    let out = deg_plus_one_list_color_probed(&h, palettes, uids, probe)?;
+    let out = deg_plus_one_list_color(&h, palettes, uids)?;
     let assignment = back
         .iter()
         .enumerate()
@@ -340,6 +404,47 @@ mod tests {
         }
         let out = deg_plus_one_list_color(&g, &palettes, None).unwrap();
         out.value.check_partial(&g, 10).unwrap();
+    }
+
+    #[test]
+    fn the_sweep_is_charged_its_fixed_class_count() {
+        // A star's helper puts every leaf in one class, so the executor
+        // stops after two rounds; the charge stays the Δ + 1 = 9 classes.
+        let g = generators::star(8);
+        let palettes = full_palettes(&g, 9);
+        let out = deg_plus_one_list_color(&g, &palettes, None).unwrap();
+        assert_eq!(out.rounds, delta_plus_one_rounds(&g) + 9);
+        assert_eq!(out.rounds, deg_plus_one_list_color_rounds(&g));
+        for h in [generators::cycle(30), generators::random_regular(120, 6, 3)] {
+            let palettes = full_palettes(&h, h.max_degree() as u32 + 1);
+            let out = deg_plus_one_list_color(&h, &palettes, None).unwrap();
+            assert_eq!(out.rounds, deg_plus_one_list_color_rounds(&h));
+        }
+    }
+
+    #[test]
+    fn a_supergraph_schedule_colors_a_subgraph_instance() {
+        let g = generators::random_regular(200, 8, 5);
+        let helper = crate::linial::delta_plus_one_coloring(&g, None).unwrap();
+        let active: Vec<NodeId> = g.vertices().filter(|v| v.0 % 3 != 0).collect();
+        let (h, back) = g.induced(&active);
+        let schedule: Vec<u32> = back
+            .iter()
+            .map(|&v| helper.value.get(v).unwrap().0)
+            .collect();
+        let palettes: Vec<Vec<Color>> = h
+            .vertices()
+            .map(|v| (0..=h.degree(v) as u32).map(|c| Color(c * 7)).collect())
+            .collect();
+        let out = deg_plus_one_list_color_scheduled(&h, &palettes, schedule, 9, &Probe::disabled())
+            .unwrap();
+        assert_eq!(out.rounds, 9);
+        for (u, v) in h.edges() {
+            assert_ne!(out.value.get(u), out.value.get(v));
+        }
+        for v in h.vertices() {
+            assert!(palettes[v.index()].contains(&out.value.get(v).unwrap()));
+        }
     }
 
     #[test]

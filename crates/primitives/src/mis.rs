@@ -77,7 +77,8 @@ impl LocalAlgorithm for ClassGreedyMis {
 }
 
 /// Deterministic MIS by sweeping the classes of a `(Δ+1)`-coloring;
-/// `O(Δ + log* n)` rounds in total.
+/// `O(Δ + log* n)` rounds in total, charged as the helper's fixed schedule
+/// plus `Δ + 2` sweep rounds.
 ///
 /// # Examples
 ///
@@ -115,10 +116,13 @@ pub fn mis_deterministic_probed(
         .map(|v| helper.value.get(v).expect("complete coloring").0)
         .collect();
     let algo = ClassGreedyMis { schedule, classes };
+    // Charged the fixed sweep every node waits out: the last class joins
+    // in round `classes` and its neighbors learn it one round later.
+    let sweep = u64::from(classes) + 1;
     let run = Executor::new(g)
         .with_probe(probe.clone())
-        .run(&algo, u64::from(classes) + 2)?;
-    Ok(Timed::new(run.outputs, helper.rounds + run.rounds))
+        .run(&algo, sweep)?;
+    Ok(Timed::new(run.outputs, helper.rounds + sweep))
 }
 
 /// Luby's algorithm: per-iteration random priorities; local maxima join.
@@ -237,6 +241,8 @@ mod tests {
         ] {
             let out = mis_deterministic(&g, None).unwrap();
             assert!(is_mis(&g, &out.value), "invalid MIS");
+            let sweep = g.max_degree() as u64 + 2;
+            assert_eq!(out.rounds, crate::linial::delta_plus_one_rounds(&g) + sweep);
         }
     }
 

@@ -13,6 +13,9 @@ pub enum ChargeKind {
     Virtual,
     /// An entry absorbed from a sub-ledger under a phase prefix.
     Absorbed,
+    /// The wait for a step that ran alongside the phases charged before
+    /// it: only the part of its rounds not yet elapsed.
+    Overlapped,
 }
 
 impl ChargeKind {
@@ -22,6 +25,7 @@ impl ChargeKind {
             ChargeKind::Constant => "constant",
             ChargeKind::Virtual => "virtual",
             ChargeKind::Absorbed => "absorbed",
+            ChargeKind::Overlapped => "overlapped",
         }
     }
 
@@ -31,6 +35,7 @@ impl ChargeKind {
             "constant" => Ok(ChargeKind::Constant),
             "virtual" => Ok(ChargeKind::Virtual),
             "absorbed" => Ok(ChargeKind::Absorbed),
+            "overlapped" => Ok(ChargeKind::Overlapped),
             other => Err(Error::new(format!("unknown charge kind `{other}`"))),
         }
     }
@@ -547,5 +552,18 @@ mod tests {
     #[test]
     fn charge_kind_parse_rejects_unknown() {
         assert!(ChargeKind::parse("bogus").is_err());
+    }
+
+    #[test]
+    fn every_charge_kind_round_trips_through_its_name() {
+        for kind in [
+            ChargeKind::Real,
+            ChargeKind::Constant,
+            ChargeKind::Virtual,
+            ChargeKind::Absorbed,
+            ChargeKind::Overlapped,
+        ] {
+            assert_eq!(ChargeKind::parse(kind.as_str()).unwrap(), kind);
+        }
     }
 }

@@ -208,15 +208,57 @@ fn det_pipeline_round_charges_match_the_committed_ledger() {
             ("phase1/maximal matching F1", 10),
             ("phase1/hyperedge grabbing", 39),
             ("phase1/F2 rearrangement", 2),
-            ("phase2/degree splitting (2 levels)", 300),
+            ("phase2/degree splitting (2 levels)", 308),
             ("phase2/outgoing selection", 4),
             ("phase3/slack triad formation", 1),
             ("phase4a/slack pair coloring", 66),
-            ("phase4b/instance 1", 59),
+            // The shared helper of G finished long before phase 4b.
+            ("shared (Δ+1)-coloring of G", 0),
+            ("phase4b/instance 1", 17),
             ("phase4b/instance 2", 1),
         ]
     );
-    assert_eq!(report.rounds(), 495);
+    assert_eq!(report.rounds(), 461);
+}
+
+/// The randomized pipeline's ledger on the same instance under
+/// `RandConfig::for_delta(16, 7)` (what `delta-color color --randomized 7`
+/// runs), pinned charge by charge. The shared helper of G (57 rounds)
+/// is charged only the 37 rounds still to wait when ring 6 first sweeps
+/// its classes; rings 7, 2 and 1 and the slack vertices keep their own,
+/// shorter schedules.
+#[test]
+fn rand_pipeline_round_charges_match_the_committed_ledger() {
+    let inst = generators::hard_cliques(&hard_params(80, 16, 2)).unwrap();
+    let report = color_randomized(&inst.graph, &RandConfig::for_delta(16, 7)).unwrap();
+    verify_delta_coloring(&inst.graph, &report.coloring).unwrap();
+    let charges: Vec<(&str, u64)> = report
+        .ledger
+        .entries()
+        .iter()
+        .map(|e| (e.phase.as_str(), e.rounds))
+        .collect();
+    assert_eq!(
+        charges,
+        [
+            ("acd computation", 8),
+            ("loophole detection", 3),
+            ("hard-easy classification", 2),
+            ("pre-shattering/T-node spacing", 4),
+            ("pre-shattering/pair coloring", 2),
+            ("post-shattering (max component)", 0),
+            ("post-processing/T ring 7", 1),
+            ("shared (Δ+1)-coloring of G", 37),
+            ("post-processing/T ring 6", 17),
+            ("post-processing/T ring 5", 17),
+            ("post-processing/T ring 4", 17),
+            ("post-processing/T ring 3", 17),
+            ("post-processing/T ring 2", 1),
+            ("post-processing/T ring 1", 14),
+            ("post-processing/slack vertices", 1),
+        ]
+    );
+    assert_eq!(report.rounds(), 141);
 }
 
 /// Scaled-down variant of [`paper_scale_stress`] that runs in the default
