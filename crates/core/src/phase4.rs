@@ -190,9 +190,9 @@ pub(crate) fn can_stall(
             .any(|&w| !cls.is_hard_vertex[w.index()] && !coloring.is_colored(w))
 }
 
-/// Ledger name of the run's shared `(Δ+1)`-coloring of `G`, charged
-/// with [`RoundLedger::charge_overlapped`] when an instance first sweeps
-/// its classes.
+/// Ledger name of the run's shared `(Δ+1)`-coloring of `G`, whose
+/// rounds not yet elapsed [`RoundLedger::charge_overlapped`] charges when
+/// an instance first sweeps its classes.
 pub const SHARED_HELPER: &str = "shared (Δ+1)-coloring of G";
 
 /// Runs one `(deg+1)`-list instance over `active` with palettes = free
@@ -208,7 +208,7 @@ pub const SHARED_HELPER: &str = "shared (Δ+1)-coloring of G";
 ///   every subgraph: `Δ + 1` sweep rounds, plus the helper's rounds not
 ///   yet elapsed. It reads only `G` and the ids, so it runs from round 0
 ///   alongside the earlier phases; it is computed once per ledger family
-///   ([`RoundLedger::shared_coloring`]) and charged once per ledger.
+///   ([`RoundLedger::shared_coloring`]), and only its first use can wait.
 ///
 /// On a tie the own schedule runs: the charged rounds are the same and it
 /// needs no helper of `G`.
@@ -227,7 +227,7 @@ pub(crate) fn run_list_instance(
     let own = list_coloring::deg_plus_one_list_color_rounds(&h);
     let helper_rounds = linial::delta_plus_one_rounds(g);
     let classes = g.max_degree() as u32 + 1;
-    let shared = ledger.overlap_wait(SHARED_HELPER, helper_rounds) + u64::from(classes);
+    let shared = ledger.overlap_wait(helper_rounds) + u64::from(classes);
     // The helper emits no events: its first use may fall in any leftover
     // component on the pool, so its round events would make the trace
     // depend on the thread count. Its one charge is the overlapped wait.
@@ -242,10 +242,7 @@ pub(crate) fn run_list_instance(
             None => Probe::disabled(),
         };
         Some(ledger.shared_coloring(|| {
-            linial::delta_plus_one_coloring_probed(g, None, &metered).map(|helper| {
-                debug_assert_eq!(helper.rounds, helper_rounds);
-                helper.value
-            })
+            linial::delta_plus_one_coloring_probed(g, None, &metered).map(|helper| helper.value)
         })?)
     };
     // One marker over `0..delta`, cleared after each vertex.

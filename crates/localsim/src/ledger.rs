@@ -148,11 +148,12 @@ impl RoundLedger {
 
     /// Charges a step of `rounds` rounds that reads only the graph and the
     /// ids, so it ran from round 0 with its messages sent alongside those
-    /// of the steps charged before: the first time this ledger sees
-    /// `phase` it charges the `max(0, rounds − elapsed)` rounds still to
-    /// wait, later calls charge nothing. "Seen" is read from the entries,
-    /// so a ledger restored from a snapshot inherits it. Returns the rounds
-    /// charged.
+    /// of the steps charged before: it charges the
+    /// [`RoundLedger::overlap_wait`] still to wait, and records an entry
+    /// only when that wait is above 0. After the first charge the elapsed
+    /// rounds cover the step, so every later call on this ledger, its
+    /// forks or a ledger restored from its snapshot charges 0. Returns the
+    /// rounds charged.
     ///
     /// ```
     /// use localsim::RoundLedger;
@@ -162,28 +163,20 @@ impl RoundLedger {
     /// assert_eq!(ledger.charge_overlapped("helper", 58), 18);
     /// assert_eq!(ledger.charge_overlapped("helper", 58), 0);
     /// assert_eq!(ledger.total(), 58);
+    /// assert_eq!(ledger.entries().len(), 2);
     /// ```
     pub fn charge_overlapped(&mut self, phase: impl Into<String>, rounds: u64) -> u64 {
-        let phase = phase.into();
-        if self.has_entry(&phase) {
-            return 0;
+        let wait = self.overlap_wait(rounds);
+        if wait > 0 {
+            self.record(phase.into(), wait, ChargeKind::Overlapped);
         }
-        let wait = rounds.saturating_sub(self.elapsed());
-        self.record(phase, wait, ChargeKind::Overlapped);
         wait
     }
 
-    /// What [`RoundLedger::charge_overlapped`] would charge now.
-    pub fn overlap_wait(&self, phase: &str, rounds: u64) -> u64 {
-        if self.has_entry(phase) {
-            0
-        } else {
-            rounds.saturating_sub(self.elapsed())
-        }
-    }
-
-    fn has_entry(&self, phase: &str) -> bool {
-        self.entries.iter().any(|e| e.phase == phase)
+    /// The rounds of a step of `rounds` rounds, begun at round 0, not yet
+    /// elapsed: `max(0, rounds − elapsed)`.
+    pub fn overlap_wait(&self, rounds: u64) -> u64 {
+        rounds.saturating_sub(self.elapsed())
     }
 
     /// The run's `(Δ+1)`-coloring of its whole graph, from `compute` on
@@ -432,28 +425,21 @@ mod tests {
     fn overlapped_charge_waits_once_for_the_rounds_not_yet_elapsed() {
         let mut l = RoundLedger::new();
         l.charge("phases", 49);
-        assert_eq!(l.overlap_wait("helper", 58), 9);
+        assert_eq!(l.overlap_wait(58), 9);
         assert_eq!(l.charge_overlapped("helper", 58), 9);
-        assert_eq!(l.overlap_wait("helper", 58), 0);
+        assert_eq!(l.overlap_wait(58), 0);
         assert_eq!(l.charge_overlapped("helper", 58), 0);
         assert_eq!(l.total(), 58);
-        assert_eq!(l.entries().len(), 2, "a seen name records nothing more");
+        assert_eq!(l.entries().len(), 2, "a 0-round wait records nothing");
 
-        // Already elapsed: the first use waits 0 rounds but is still
-        // recorded, so the step is seen from then on.
+        // Already elapsed: the step costs nothing and leaves no entry.
         let mut l = RoundLedger::new();
         l.charge("phases", 300);
         assert_eq!(l.charge_overlapped("helper", 190), 0);
-        assert_eq!(
-            l.entries()[1],
-            LedgerEntry {
-                phase: "helper".into(),
-                rounds: 0
-            }
-        );
         l.charge("later", 5);
-        assert_eq!(l.charge_overlapped("helper", 900), 0);
+        assert_eq!(l.charge_overlapped("helper", 190), 0);
         assert_eq!(l.total(), 305);
+        assert_eq!(l.entries().len(), 2);
     }
 
     #[test]
@@ -478,11 +464,7 @@ mod tests {
         fork.charge("phase", 20);
         assert_eq!(fork.charge_overlapped("helper", 58), 8);
         assert_eq!((fork.total(), fork.elapsed()), (28, 58));
-        assert_eq!(
-            parent.overlap_wait("helper", 58),
-            28,
-            "the parent has not seen it"
-        );
+        assert_eq!(parent.overlap_wait(58), 28, "the parent has not paid it");
     }
 
     #[test]

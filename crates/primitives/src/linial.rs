@@ -83,6 +83,11 @@ fn linial_schedule(delta: usize, m0: u128) -> Vec<LinialStep> {
         if new_m >= m {
             break;
         }
+        // q² < m ≤ 2⁶⁴: the 64-bit arithmetic of `poly_eval` holds.
+        assert!(
+            u32::try_from(step.q).is_ok(),
+            "Linial field size fits in u32"
+        );
         schedule.push(step);
         m = new_m;
     }
@@ -90,33 +95,22 @@ fn linial_schedule(delta: usize, m0: u128) -> Vec<LinialStep> {
 }
 
 /// Evaluates the polynomial with base-`q` digits of `c` as coefficients.
+/// Scheduled steps have `q < 2³²` ([`linial_schedule`]), so every product
+/// of two residues fits in `u64`, and so does adding a residue to one:
+/// `(q − 1)² + q < 2⁶⁴`.
 fn poly_eval(c: u64, q: u64, degree: usize, x: u64) -> u64 {
     if x == 0 {
         return c % q;
     }
-    if q <= u64::from(u32::MAX) {
-        // Every product of two residues fits in u64, and so does adding a
-        // residue to one: (q − 1)² + q < 2⁶⁴.
-        let mut acc = 0;
-        let mut rem = c;
-        let mut xp = 1;
-        for _ in 0..=degree {
-            acc = (acc + rem % q * xp) % q;
-            rem /= q;
-            xp = xp * x % q;
-        }
-        return acc;
-    }
-    let mut acc: u128 = 0;
+    let mut acc = 0;
     let mut rem = c;
-    let mut xp: u128 = 1;
+    let mut xp = 1;
     for _ in 0..=degree {
-        let coeff = rem % q;
+        acc = (acc + rem % q * xp) % q;
         rem /= q;
-        acc = (acc + coeff as u128 * xp) % q as u128;
-        xp = (xp * x as u128) % q as u128;
+        xp = xp * x % q;
     }
-    acc as u64
+    acc
 }
 
 struct LinialAlgo {
@@ -168,42 +162,41 @@ pub fn linial_coloring(
     g: &Graph,
     uids: Option<Vec<u64>>,
 ) -> Result<Timed<(Vec<u64>, u64)>, SimError> {
-    linial_coloring_probed(g, uids, &Probe::disabled())
-}
-
-/// [`linial_coloring`] with per-round telemetry mirrored to `probe`.
-///
-/// # Errors
-///
-/// Propagates simulator errors (round budget, bad uid vectors).
-pub(crate) fn linial_coloring_probed(
-    g: &Graph,
-    uids: Option<Vec<u64>>,
-    probe: &Probe,
-) -> Result<Timed<(Vec<u64>, u64)>, SimError> {
-    let delta = g.max_degree();
+    let delta = g.max_degree() as u64;
     if delta == 0 {
         return Ok(Timed::new((vec![0; g.n()], 1), 0));
     }
-    let m0 = match &uids {
+    let schedule = HelperSchedule::new(delta, id_space(g, uids.as_deref()));
+    let space = schedule.space;
+    Ok(run_linial(g, uids, schedule.linial, &Probe::disabled())?.map(|c| (c, space)))
+}
+
+/// The number of distinct ids: `max + 1` of the given ids, or `n` for the
+/// default ids `0..n`.
+fn id_space(g: &Graph, uids: Option<&[u64]>) -> u128 {
+    match uids {
         Some(u) => u.iter().copied().max().unwrap_or(0) as u128 + 1,
         None => g.n() as u128,
-    };
-    let schedule = linial_schedule(delta, m0);
-    let space = schedule.last().map_or(m0 as u64, |s| s.q * s.q);
+    }
+}
+
+/// Runs Linial's `schedule` from the ids, one round per step, with
+/// per-round telemetry mirrored to `probe`. An empty schedule needs no
+/// communication; its run only checks the ids.
+fn run_linial(
+    g: &Graph,
+    uids: Option<Vec<u64>>,
+    schedule: Vec<LinialStep>,
+    probe: &Probe,
+) -> Result<Timed<Vec<u64>>, SimError> {
     let ex = match uids {
         Some(u) => Executor::with_uids(g, u)?,
         None => Executor::new(g),
     }
     .with_probe(probe.clone());
-    if schedule.is_empty() {
-        // Ids already fit the target space; zero communication needed.
-        let run = ex.run(&LinialAlgo { schedule }, 1)?;
-        return Ok(Timed::new((run.outputs, space), 0));
-    }
-    let rounds_needed = schedule.len() as u64 + 1;
-    let run = ex.run(&LinialAlgo { schedule }, rounds_needed)?;
-    Ok(Timed::new((run.outputs, space), run.rounds))
+    let rounds = schedule.len() as u64;
+    let run = ex.run(&LinialAlgo { schedule }, rounds + 1)?;
+    Ok(Timed::new(run.outputs, rounds))
 }
 
 /// The additive-group reduction of Barenboim–Elkin–Goldenberg (PODC 2018)
@@ -239,30 +232,41 @@ pub(crate) struct AdditiveReduction {
 }
 
 impl AdditiveReduction {
-    /// The reduction of the proper coloring `colors` (all `< space`) on a
-    /// graph of maximum degree `delta ≥ 1`.
-    pub(crate) fn new(colors: &[u64], space: u64, delta: u64) -> Self {
+    /// The reduction schedule for colors below `space` on a graph of
+    /// maximum degree `delta ≥ 1`; [`AdditiveReduction::with_colors`]
+    /// gives it the nodes' start colors.
+    pub(crate) fn new(space: u64, delta: u64) -> Self {
         let root = space.isqrt();
         let root = if root * root < space { root + 1 } else { root };
         let q = next_prime((2 * delta + 1).max(root));
         let q = u32::try_from(q).expect("field size fits in u32");
-        let (reduce, top, init) = if space < 2 * u64::from(q) {
-            (
-                0,
-                space as u32,
-                colors.iter().map(|&c| (0, c as u32)).collect(),
-            )
+        let (reduce, top) = if space < 2 * u64::from(q) {
+            (0, space as u32)
         } else {
-            let split = |c: u64| ((c / u64::from(q)) as u32, (c % u64::from(q)) as u32);
-            (q, q, colors.iter().map(|&c| split(c)).collect())
+            (q, q)
         };
         AdditiveReduction {
             q,
             reduce,
             top,
             delta: delta as u32,
-            init,
+            init: Vec::new(),
         }
+    }
+
+    /// Starts the nodes from the proper coloring `colors`, all below the
+    /// schedule's color space.
+    pub(crate) fn with_colors(mut self, colors: &[u64]) -> Self {
+        let q = u64::from(self.q);
+        self.init = if self.reduce == 0 {
+            colors.iter().map(|&c| (0, c as u32)).collect()
+        } else {
+            colors
+                .iter()
+                .map(|&c| ((c / q) as u32, (c % q) as u32))
+                .collect()
+        };
+        self
     }
 
     /// The schedule length every node knows: the reduction rounds, then
@@ -336,10 +340,39 @@ impl LocalAlgorithm for AdditiveReduction {
     }
 }
 
+/// The fixed schedule of [`delta_plus_one_coloring`] on a graph of
+/// maximum degree `Δ ≥ 1` with ids below `m0`, which every node derives
+/// from `Δ` and `m0`: Linial's steps, the color space they reach, and the
+/// additive-group reduction of that space, or none when it already fits
+/// in `Δ + 1` colors. The coloring runs it and [`delta_plus_one_rounds`]
+/// reads its length, so the charge predicted for an instance and the
+/// charge of the run cannot drift apart.
+struct HelperSchedule {
+    linial: Vec<LinialStep>,
+    space: u64,
+    reduction: Option<AdditiveReduction>,
+}
+
+impl HelperSchedule {
+    fn new(delta: u64, m0: u128) -> Self {
+        let linial = linial_schedule(delta as usize, m0);
+        let space = linial.last().map_or(m0 as u64, |s| s.q * s.q);
+        let reduction = (space > delta + 1).then(|| AdditiveReduction::new(space, delta));
+        HelperSchedule {
+            linial,
+            space,
+            reduction,
+        }
+    }
+
+    fn rounds(&self) -> u64 {
+        let reduce = self.reduction.as_ref().map_or(0, AdditiveReduction::rounds);
+        self.linial.len() as u64 + reduce
+    }
+}
+
 /// The rounds [`delta_plus_one_coloring`] charges on `g` with the
-/// default ids `0..n`, computed from `n` and `Δ` alone without running
-/// it: Linial's steps, then the additive-group reduction's schedule
-/// unless Linial's color space already fits in `Δ + 1` colors.
+/// default ids `0..n`, read off its fixed schedule without running it.
 ///
 /// ```
 /// use primitives::linial::{delta_plus_one_coloring, delta_plus_one_rounds};
@@ -348,19 +381,11 @@ impl LocalAlgorithm for AdditiveReduction {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn delta_plus_one_rounds(g: &Graph) -> u64 {
-    let delta = g.max_degree();
+    let delta = g.max_degree() as u64;
     if delta == 0 {
         return 0;
     }
-    let m0 = g.n() as u64;
-    let steps = linial_schedule(delta, u128::from(m0));
-    let space = steps.last().map_or(m0, |s| s.q * s.q);
-    let reduce = if space <= delta as u64 + 1 {
-        0
-    } else {
-        AdditiveReduction::new(&[], space, delta as u64).rounds()
-    };
-    steps.len() as u64 + reduce
+    HelperSchedule::new(delta, id_space(g, None)).rounds()
 }
 
 /// Computes a proper coloring with `Δ + 1` colors in `O(Δ + log* n)`
@@ -403,20 +428,26 @@ pub fn delta_plus_one_coloring_probed(
     probe: &Probe,
 ) -> Result<Timed<Coloring>, SimError> {
     let delta = g.max_degree() as u64;
-    let linial = linial_coloring_probed(g, uids, probe)?;
-    let (colors, space) = linial.value;
-    if space <= delta + 1 {
-        let coloring = Coloring::from_vec(colors.iter().map(|&c| Some(Color(c as u32))).collect());
-        return Ok(Timed::new(coloring, linial.rounds));
+    if delta == 0 {
+        return Ok(Timed::new(
+            Coloring::from_vec(vec![Some(Color(0)); g.n()]),
+            0,
+        ));
     }
-    let algo = AdditiveReduction::new(&colors, space, delta);
+    let schedule = HelperSchedule::new(delta, id_space(g, uids.as_deref()));
+    let rounds = schedule.rounds();
+    let colors = run_linial(g, uids, schedule.linial, probe)?.value;
+    let Some(reduction) = schedule.reduction else {
+        let coloring = Coloring::from_vec(colors.iter().map(|&c| Some(Color(c as u32))).collect());
+        return Ok(Timed::new(coloring, rounds));
+    };
+    let algo = reduction.with_colors(&colors);
     drop(colors);
-    let rounds = algo.rounds();
     let run = Executor::new(g)
         .with_probe(probe.clone())
-        .run(&algo, rounds)?;
+        .run(&algo, algo.rounds())?;
     let coloring = Coloring::from_vec(run.outputs.iter().map(|&c| Some(Color(c))).collect());
-    Ok(Timed::new(coloring, linial.rounds + rounds))
+    Ok(Timed::new(coloring, rounds))
 }
 
 #[cfg(test)]
@@ -433,7 +464,7 @@ mod tests {
     }
 
     #[test]
-    fn poly_eval_matches_a_u128_evaluation_on_both_sides_of_2_pow_32() {
+    fn poly_eval_matches_a_u128_evaluation() {
         let reference = |c: u64, q: u64, degree: usize, x: u64| {
             let (q, x) = (u128::from(q), u128::from(x));
             let mut rem = u128::from(c);
@@ -445,8 +476,8 @@ mod tests {
             }
             acc as u64
         };
-        // The largest prime below 2³² and the smallest above it.
-        for q in [2, 37, 127, 65_521, 4_294_967_291, 4_294_967_311] {
+        // Up to the largest prime below 2³², the bound on Linial's q.
+        for q in [2, 37, 127, 65_521, 4_294_967_291] {
             for c in [0, 1, 36, 1368, 123_456_789, u64::MAX - 1, u64::MAX] {
                 for degree in 1..=4 {
                     for x in [0, 1, 2, q / 2, q - 1] {
@@ -496,19 +527,19 @@ mod tests {
     #[test]
     fn field_covers_twice_delta_and_the_color_space() {
         // Δ = 61 with Linial's 67² colors: q = 127, 127 + 65 rounds.
-        let r = AdditiveReduction::new(&[], 67 * 67, 61);
+        let r = AdditiveReduction::new(67 * 67, 61);
         assert_eq!((r.q, r.rounds()), (127, 192));
         // A color space wider than (2Δ + 1)² sets q: ⌈√1000⌉ = 32 → 37.
-        let r = AdditiveReduction::new(&[], 1000, 2);
+        let r = AdditiveReduction::new(1000, 2);
         assert_eq!((r.q, r.rounds()), (37, 71));
         // q² may equal the space exactly.
-        assert_eq!(AdditiveReduction::new(&[], 49, 2).q, 7);
-        assert_eq!(AdditiveReduction::new(&[], 50, 2).q, 11);
+        assert_eq!(AdditiveReduction::new(49, 2).q, 7);
+        assert_eq!(AdditiveReduction::new(50, 2).q, 11);
         // Below 2q colors, sweeping from the top class is shorter: Δ = 15,
         // q = 31, 40 colors sweep classes 39..=16 in 24 rounds, not 46.
-        let r = AdditiveReduction::new(&[], 40, 15);
+        let r = AdditiveReduction::new(40, 15);
         assert_eq!((r.q, r.reduce, r.rounds()), (31, 0, 24));
-        assert_eq!(AdditiveReduction::new(&[], 62, 15).rounds(), 46);
+        assert_eq!(AdditiveReduction::new(62, 15).rounds(), 46);
     }
 
     #[test]
@@ -517,7 +548,7 @@ mod tests {
         // `b` in every round, so neither becomes final, and the run fails
         // at the schedule's end instead of returning a color.
         let g = generators::complete(2);
-        let algo = AdditiveReduction::new(&[3, 3], 6, 1);
+        let algo = AdditiveReduction::new(6, 1).with_colors(&[3, 3]);
         let err = Executor::new(&g).run(&algo, algo.rounds()).unwrap_err();
         assert_eq!(
             err,

@@ -134,9 +134,9 @@ fn additive_reduction_runs_the_same_with_and_without_its_wake_hint() {
             if space <= delta + 1 {
                 continue;
             }
-            let budget = AdditiveReduction::new(&start, space, delta).rounds();
+            let budget = AdditiveReduction::new(space, delta).rounds();
             assert_hint_is_invisible(name, &g, budget, || {
-                AdditiveReduction::new(&start, space, delta)
+                AdditiveReduction::new(space, delta).with_colors(&start)
             });
         }
     }

@@ -212,8 +212,8 @@ fn det_pipeline_round_charges_match_the_committed_ledger() {
             ("phase2/outgoing selection", 4),
             ("phase3/slack triad formation", 1),
             ("phase4a/slack pair coloring", 66),
-            // The shared helper of G finished long before phase 4b.
-            ("shared (Δ+1)-coloring of G", 0),
+            // The shared helper of G finished long before phase 4b: its
+            // wait is 0 rounds and leaves no entry.
             ("phase4b/instance 1", 17),
             ("phase4b/instance 2", 1),
         ]
